@@ -31,14 +31,13 @@ property.  On a single-core host the parallel≥serial verdict is
 recorded as ``null`` with a skip notice instead of a dishonest number.
 
 Schema 4 adds the **warm-vs-cold drill** (:class:`WarmBench`): a
-repeated-library manifest (every scenario, twice) executed three ways —
-cold (a full platform per job), warm (one booted template reset per job
-via ``Platform.reset_for_job()``), and rehydrated (cold platforms over a
-shared persistent translation cache).  Per job it records boot wall
+repeated-library manifest (every scenario, twice) executed two ways —
+cold (a full platform per job) and warm (one booted template reset per
+job via ``Platform.reset_for_job()``).  Per job it records boot wall
 clock plus in-run translation seconds; the gate requires warm boot +
 translate per job to beat cold by at least
-:data:`WARM_SPEEDUP_GATE` (2x), with taint parity identical across all
-three modes for every scenario.
+:data:`WARM_SPEEDUP_GATE` (2x), with taint parity identical across both
+modes for every scenario.  Schema 5 reports only these two modes.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from repro.farm.merge import merge_results, sink_counts
 from repro.farm.scheduler import FarmScheduler
 from repro.farm.store import ResultStore
 
-BENCH_SCHEMA_VERSION = 4
+BENCH_SCHEMA_VERSION = 5
 
 # Fixed drill seed: the injected fault schedule is part of the recorded
 # result, so two bench runs disagree only if recovery itself changed.
@@ -165,15 +164,15 @@ class FarmBench:
 
 
 # Warm-drill defaults: every scenario twice makes a repeated-library
-# manifest — exactly the workload the warm fork and persistent cache
-# exist for — and 2x is the gate the per-job boot+translate cost must
-# clear against the cold baseline.
+# manifest — exactly the workload the warm fork exists for — and 2x is
+# the gate the per-job boot+translate cost must clear against the cold
+# baseline.
 WARM_REPEATS = 2
 WARM_SPEEDUP_GATE = 2.0
 
 
 class WarmBench:
-    """Cold boot vs warm template reset vs persistent-cache rehydration.
+    """Cold boot vs warm template reset.
 
     Every mode runs the identical job list (each scenario,
     ``repeats`` times) on the same analysis config and must produce
@@ -264,45 +263,19 @@ class WarmBench:
 
         return self._drive(boot)
 
-    def _rehydrated(self, cache_dir: str) -> Dict:
-        from repro.apps import ALL_SCENARIOS
-        from repro.apps.base import run_scenario
-        from repro.bench.harness import make_platform
-        from repro.emulator.persist import TranslationPersistence
-
-        # Seed pass (uncharged): populate the cache once, cold.
-        for name in sorted(ALL_SCENARIOS):
-            platform = make_platform(self.config)
-            platform.attach_persistence(TranslationPersistence(cache_dir))
-            run_scenario(ALL_SCENARIOS[name](), platform)
-            platform.persist_translations()
-
-        def boot(name):
-            started = time.perf_counter()
-            platform = make_platform(self.config)
-            platform.attach_persistence(TranslationPersistence(cache_dir))
-            return platform, time.perf_counter() - started
-
-        return self._drive(boot)
-
     def run(self) -> Dict:
         cold = self._cold()
         warm = self._warm()
-        with tempfile.TemporaryDirectory() as cache_dir:
-            rehydrated = self._rehydrated(cache_dir)
-            persistence_probe = self._probe_persist_hits(cache_dir)
 
         parity = {}
         identical = True
         for name, observed in cold["observations"].items():
-            match = (observed == warm["observations"][name]
-                     and observed == rehydrated["observations"][name])
+            match = observed == warm["observations"][name]
             parity[name] = match
             identical = identical and match
         identical = (identical
                      and cold["consistent_across_repeats"]
-                     and warm["consistent_across_repeats"]
-                     and rehydrated["consistent_across_repeats"])
+                     and warm["consistent_across_repeats"])
 
         def strip(mode: Dict) -> Dict:
             return {key: value for key, value in mode.items()
@@ -310,39 +283,18 @@ class WarmBench:
 
         speedup = (cold["median_job_seconds"] / warm["median_job_seconds"]
                    if warm["median_job_seconds"] else 0.0)
-        rehydrated_speedup = (
-            cold["median_job_seconds"] / rehydrated["median_job_seconds"]
-            if rehydrated["median_job_seconds"] else 0.0)
         return {
             "repeats": self.repeats,
             "config": self.config,
             "cold": strip(cold),
             "warm": strip(warm),
-            "rehydrated": strip(rehydrated),
-            "persist_hits": persistence_probe,
             "speedup_warm_vs_cold": round(speedup, 2),
-            "speedup_rehydrated_vs_cold": round(rehydrated_speedup, 2),
             "gate": {
                 "threshold": WARM_SPEEDUP_GATE,
                 "passed": speedup >= WARM_SPEEDUP_GATE,
             },
             "parity": {"identical": identical, "scenarios": parity},
         }
-
-    def _probe_persist_hits(self, cache_dir: str) -> Dict[str, int]:
-        """One extra rehydrated job proves the cache actually hits."""
-        from repro.apps import ALL_SCENARIOS
-        from repro.apps.base import run_scenario
-        from repro.bench.harness import make_platform
-        from repro.emulator.persist import TranslationPersistence
-
-        name = sorted(ALL_SCENARIOS)[0]
-        platform = make_platform(self.config)
-        persistence = TranslationPersistence(cache_dir)
-        platform.attach_persistence(persistence)
-        run_scenario(ALL_SCENARIOS[name](), platform)
-        return {layer: counters["hits"]
-                for layer, counters in persistence.counters.items()}
 
 
 # Scaling-curve defaults: 10k jobs x 10 records = a 100k-record streamed

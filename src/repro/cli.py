@@ -166,12 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="warm workers: boot each analysis config once "
                            "in the scheduler, fork jobs from the booted "
                            "snapshot and pay only a per-job reset")
-    farm.add_argument("--tb-cache", default=None, metavar="DIR",
-                      help="persistent cross-job translation cache: "
-                           "decoded translation blocks, Dalvik block "
-                           "layouts and JNI trampoline plans persist "
-                           "content-addressed under DIR and rehydrate "
-                           "in later runs")
     farm.add_argument("--watch", action="store_true",
                       help="live farm console on stderr while the run "
                            "is in flight: per-worker busy/hung/dead, "
@@ -330,21 +324,18 @@ def _command_bench_farm(workers: int, json_path, scaling: bool = False,
 
     warm = results["warm"]
     print(f"\nwarm drill ({warm['cold']['jobs']} jobs/mode):")
-    for mode in ("cold", "warm", "rehydrated"):
+    for mode in ("cold", "warm"):
         row = warm[mode]
         print(f"  {mode:<11} boot={row['boot_seconds']:.2f}s "
               f"translate={row['translate_seconds']:.2f}s "
               f"per-job={row['per_job_seconds'] * 1000:.2f}ms")
-    print(f"  warm vs cold:       {warm['speedup_warm_vs_cold']:.2f}x "
+    print(f"  warm vs cold: {warm['speedup_warm_vs_cold']:.2f}x "
           f"(gate >= {warm['gate']['threshold']:.1f}x: "
           f"{'passed' if warm['gate']['passed'] else 'FAILED'})")
-    print(f"  rehydrated vs cold: "
-          f"{warm['speedup_rehydrated_vs_cold']:.2f}x "
-          f"(persist hits {warm['persist_hits']})")
     warm_parity = warm["parity"]
     print(f"  taint parity: "
           f"{'identical' if warm_parity['identical'] else 'BROKEN'} "
-          f"over {len(warm_parity['scenarios'])} scenarios x 3 modes")
+          f"over {len(warm_parity['scenarios'])} scenarios x 2 modes")
     warm_ok = warm["gate"]["passed"] and warm_parity["identical"]
 
     scaling_ok = True
@@ -457,7 +448,7 @@ def _command_farm_stream(args, manifest) -> int:
     farm = StreamFarm(manifest, workers=args.workers,
                       run_dir=os.path.join(args.out, "runstate"),
                       resume=args.resume, budget=args.budget,
-                      warm=args.warm, tb_cache=args.tb_cache)
+                      warm=args.warm)
     try:
         report = farm.run()
     except FarmInterrupted as drained:
@@ -500,7 +491,7 @@ def _command_farm(args) -> int:
         budget=args.budget, deadline=args.deadline or None,
         max_retries=args.max_retries, chaos=chaos,
         run_dir=run_dir, trace_dir=args.trace_dir,
-        warm=args.warm, tb_cache=args.tb_cache)
+        warm=args.warm)
     console = None
     if args.watch:
         console = FarmConsole(run_dir, trace_dir=args.trace_dir)

@@ -49,7 +49,6 @@ instead.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import DalvikError
@@ -174,13 +173,6 @@ class DalvikTraceCompiler:
         self.escalations = 0
         # Optional span tracer; emits only on the compile (miss) path.
         self.span_tracer = None
-        # Optional cross-job persistence (emulator/persist.py, injected by
-        # the platform).  Blocks are closures and never serialize; what
-        # persists is the set of hot block *starts* per method-content
-        # digest, so a warm process precompiles them on first touch
-        # instead of discovering them one cold miss at a time.
-        self.persistence = None
-        self._persist_digests: Dict[Method, str] = {}
 
     # -- cache ------------------------------------------------------------
 
@@ -190,55 +182,7 @@ class DalvikTraceCompiler:
         if blocks is None:
             blocks = {}
             self._method_blocks[method] = blocks
-            if self.persistence is not None:
-                self._rehydrate(method, blocks)
         return blocks
-
-    def _rehydrate(self, method: Method, blocks: Dict[int, DalvikBlock]
-                   ) -> None:
-        """Precompile the persisted block starts for this method's digest.
-
-        Keying by content digest — not name — is the aliasing guard: two
-        apps shipping different bytecode under the same class/method name
-        hash to different digests and can never share block starts.
-        """
-        persistence = self.persistence
-        digest = persistence.method_digest(method)
-        self._persist_digests[method] = digest
-        starts = persistence.load_method_starts(digest)
-        if not starts:
-            persistence.miss("tbc")
-            return
-        started = time.perf_counter()
-        compiled = 0
-        for start in sorted(starts):
-            if start in blocks:
-                continue
-            try:
-                self.compile(method, start)
-            except DalvikError:
-                continue   # stale start (shorter method sharing a prefix)
-            compiled += 1
-        if compiled:
-            persistence.hit("tbc", compiled)
-            persistence.rebound("tbc", started)
-        else:
-            persistence.miss("tbc")
-
-    def persist_blocks(self) -> int:
-        """Record every compiled block start into the persistence tier."""
-        persistence = self.persistence
-        if persistence is None:
-            return 0
-        fresh = 0
-        for method, blocks in self._method_blocks.items():
-            if not blocks:
-                continue
-            digest = self._persist_digests.get(method)
-            if digest is None:
-                digest = persistence.method_digest(method)
-            fresh += persistence.update_method_starts(digest, blocks.keys())
-        return fresh
 
     def reset_counters(self) -> None:
         """Zero the per-job counters (warm-worker job boundary)."""
@@ -248,7 +192,6 @@ class DalvikTraceCompiler:
         self.misses = 0
         self.invalidations = 0
         self.escalations = 0
-        self._persist_digests.clear()
 
     def flush(self) -> None:
         """Drop every compiled block (class/method redefinition).

@@ -140,12 +140,6 @@ class Emulator:
         self._code_extents: Dict[int, List[int]] = {}
         self._tb_cache = TranslationCache()
         self.memory.set_write_watcher(self._on_code_page_write)
-        # Optional cross-job translation persistence (emulator/persist.py),
-        # injected by the platform; the emulator never imports it.  The
-        # registry maps region base -> (content digest, size, variant) for
-        # every code region announced via register_code_region().
-        self.persistence = None
-        self._code_regions: Dict[int, Tuple[str, int, str]] = {}
 
         self._host_functions: Dict[int, _RegisteredHost] = {}
         self._entry_hooks: Dict[int, List[Hook]] = {}
@@ -225,112 +219,6 @@ class Emulator:
         base = page << 12
         if base + start < extent[1] and base + end > extent[0]:
             self.invalidate_page(page)
-
-    # -- translation persistence ----------------------------------------------
-
-    def _taint_variant(self) -> str:
-        return "taint" if self._taint_compiler is not None else "plain"
-
-    def register_code_region(self, base: int, code: bytes) -> None:
-        """Announce a loaded code region for cross-job persistence.
-
-        Digests the bytes as loaded; seeding and flushing both re-digest
-        the *live* bytes so a region that was since modified (SMC) or
-        replaced never aliases another app's descriptors.
-        """
-        persistence = self.persistence
-        if persistence is None:
-            return
-        variant = self._taint_variant()
-        digest = persistence.region_digest(code, variant)
-        self._code_regions[base] = (digest, len(code), variant)
-        self._seed_region(base, digest, len(code), variant)
-
-    def drop_code_region(self, base: int) -> None:
-        self._code_regions.pop(base, None)
-
-    def _seed_region(self, base: int, digest: str, size: int,
-                     variant: str) -> int:
-        """Pre-fill the decode cache from persisted descriptors.
-
-        Mirrors ``_decode``'s page/extent/watch bookkeeping exactly —
-        seeded entries invalidate on writes the same way organically
-        decoded ones do — but never bumps ``decode_count``: seeding is
-        what replaces decoding.
-        """
-        persistence = self.persistence
-        if persistence is None or variant != self._taint_variant():
-            return 0
-        entries = persistence.load_region(digest)
-        if entries is None:
-            persistence.miss("tb")
-            return 0
-        # Content-digest guard (read side): only rehydrate when the bytes
-        # actually mapped at `base` are the bytes the descriptors were
-        # decoded from — two apps mapping different code at the same
-        # addresses can never alias.
-        live = self.memory.read_bytes(base, size)
-        if persistence.region_digest(live, variant) != digest:
-            persistence.miss("tb")
-            return 0
-        started = time.perf_counter()
-        decode_cache = self._decode_cache
-        seeded = 0
-        for offset, thumb, ir in entries:
-            address = base + offset
-            key = (address, thumb)
-            if key in decode_cache:
-                continue
-            decode_cache[key] = ir
-            end = address + ir.width
-            for page in range(address >> 12, (end - 1 >> 12) + 1):
-                self._decode_pages.setdefault(page, set()).add(key)
-                extent = self._code_extents.get(page)
-                if extent is None:
-                    self._code_extents[page] = [address, end]
-                else:
-                    if address < extent[0]:
-                        extent[0] = address
-                    if end > extent[1]:
-                        extent[1] = end
-                self.memory.watch_page(page)
-            seeded += 1
-        if seeded:
-            persistence.hit("tb", seeded)
-            persistence.rebound("tb", started)
-        else:
-            persistence.miss("tb")
-        return seeded
-
-    def reseed_code_regions(self) -> int:
-        """Re-seed every registered region (after an invalidate_cache)."""
-        seeded = 0
-        for base, (digest, size, variant) in list(self._code_regions.items()):
-            seeded += self._seed_region(base, digest, size, variant)
-        return seeded
-
-    def persist_code_regions(self) -> int:
-        """Record this job's decode descriptors into the persistence tier."""
-        persistence = self.persistence
-        if persistence is None or not self._code_regions:
-            return 0
-        fresh = 0
-        for base, (digest, size, variant) in self._code_regions.items():
-            if variant != self._taint_variant():
-                continue
-            # Content-digest guard (write side): never store descriptors
-            # under a digest the live bytes no longer match (the region
-            # was SMC'd or replaced since registration).
-            live = self.memory.read_bytes(base, size)
-            if persistence.region_digest(live, variant) != digest:
-                continue
-            span_end = base + size
-            entries = [(address - base, thumb, ir)
-                       for (address, thumb), ir in self._decode_cache.items()
-                       if base <= address < span_end]
-            if entries:
-                fresh += persistence.update_region(digest, entries)
-        return fresh
 
     # -- instrumentation bookkeeping ------------------------------------------
 

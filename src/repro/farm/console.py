@@ -42,11 +42,6 @@ _CACHE_RATE_PAIRS = (
     ("tb", "tb.hits", "tb.misses"),
     ("tbc", "tbc.hits", "tbc.misses"),
     ("jni", "jni.trampoline.hits", "jni.trampoline.misses"),
-    # Persistent-cache rehydration rates (only emitted when the run
-    # carries --tb-cache; absent counters render as no column).
-    ("tb+", "tb.persist.hits", "tb.persist.misses"),
-    ("tbc+", "tbc.persist.hits", "tbc.persist.misses"),
-    ("jni+", "jni.persist.hits", "jni.persist.misses"),
 )
 
 

@@ -158,6 +158,7 @@ class WorkerHandle:
     hb_path: str
     spawned_monotonic: float
     spawned_wall: float
+    gate: Optional[int] = None  # write end of a held worker's start gate
 
     def heartbeat_age(self, now_wall: float) -> float:
         """Seconds since the last proof of life (spawn counts as one)."""
@@ -184,6 +185,10 @@ class WorkerPool:
         self.interval = interval
         self.miss_threshold = miss_threshold
         self.live: Dict[int, WorkerHandle] = {}
+        # Watchdog clock: when hung() last looked, and when it last came
+        # back from a stall of its own (see hung()).
+        self._last_watch: Optional[float] = None
+        self._resumed = 0.0
         os.makedirs(hb_dir, exist_ok=True)
 
     # -- spawn ----------------------------------------------------------------
@@ -192,15 +197,29 @@ class WorkerPool:
               digest: str, job_id: str, attempt: int,
               commit: Callable[[Dict], None],
               spool_path: Optional[str] = None,
-              trace_id: str = "") -> WorkerHandle:
+              trace_id: str = "", held: bool = False) -> WorkerHandle:
+        """Fork one worker.  ``held`` parks the child before it starts
+        the job until :meth:`release`, so whatever the caller does to a
+        fresh worker (a chaos kill or stop) lands on a worker that has
+        not run yet — never, on a busy host, on one that already
+        finished."""
         hb_path = os.path.join(self.hb_dir, digest)
         # A stale heartbeat from a previous attempt must not vouch for
         # the new worker.
         stamp_heartbeat(hb_path, digest)
+        gate_read = gate_write = None
+        if held:
+            gate_read, gate_write = os.pipe()
         pid = os.fork()
         if pid == 0:
             code = 1
             try:
+                if gate_read is not None:
+                    os.close(gate_write)
+                    # EOF without the go byte: the parent is gone.
+                    if not os.read(gate_read, 1):
+                        os._exit(1)
+                    os.close(gate_read)
                 run_worker(spec_dict, budget, hb_path, self.interval, commit,
                            spool_path=spool_path, trace_id=trace_id,
                            digest=digest)
@@ -215,9 +234,23 @@ class WorkerPool:
                               job_id=job_id, attempt=attempt,
                               hb_path=hb_path,
                               spawned_monotonic=time.monotonic(),
-                              spawned_wall=time.time())
+                              spawned_wall=time.time(), gate=gate_write)
+        if gate_read is not None:
+            os.close(gate_read)
         self.live[pid] = handle
         return handle
+
+    def release(self, handle: WorkerHandle) -> None:
+        """Let a held worker start its job (no-op if not held)."""
+        gate, handle.gate = handle.gate, None
+        if gate is None:
+            return
+        try:
+            os.write(gate, b"\0")
+        except OSError:         # the worker already died (chaos kill)
+            pass
+        finally:
+            os.close(gate)
 
     # -- observe --------------------------------------------------------------
 
@@ -242,10 +275,23 @@ class WorkerPool:
         return finished
 
     def hung(self, now_wall: Optional[float] = None) -> List[WorkerHandle]:
+        """Workers silent for more than ``miss_threshold`` beats.
+
+        Missed beats only count while this watchdog was itself awake to
+        see them.  If it went unscheduled for so long that a worker
+        stamping on time could still read hung (a frozen VM or a
+        throttled cgroup stalls every process alike), the workers were
+        most likely stalled too: every worker then gets a full window,
+        counted from now, to beat again before it can read hung.
+        """
         now_wall = time.time() if now_wall is None else now_wall
         limit = self.interval * self.miss_threshold
+        last, self._last_watch = self._last_watch, now_wall
+        if last is not None and now_wall - last > limit - self.interval:
+            self._resumed = now_wall
+        silence = now_wall - self._resumed
         return [handle for handle in self.live.values()
-                if handle.heartbeat_age(now_wall) > limit]
+                if min(handle.heartbeat_age(now_wall), silence) > limit]
 
     def overdue(self, deadline: Optional[float],
                 now_monotonic: Optional[float] = None) -> List[WorkerHandle]:
@@ -266,6 +312,9 @@ class WorkerPool:
         processes, which no catchable signal does.
         """
         self.live.pop(handle.pid, None)
+        if handle.gate is not None:
+            os.close(handle.gate)
+            handle.gate = None
         try:
             os.kill(handle.pid, signal.SIGKILL)
         except ProcessLookupError:

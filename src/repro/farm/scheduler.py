@@ -145,12 +145,10 @@ class FarmScheduler:
                  heartbeat_interval: float = HEARTBEAT_INTERVAL,
                  run_dir: Optional[str] = None, chaos=None,
                  metrics=None, trace_dir: Optional[str] = None,
-                 warm: bool = False,
-                 tb_cache: Optional[str] = None) -> None:
+                 warm: bool = False) -> None:
         self.manifest = manifest
         self.workers = max(1, workers)
         self.warm = warm
-        self.tb_cache = tb_cache
         self.store = store
         self.resume = resume and store is not None
         self.budget = budget
@@ -179,7 +177,7 @@ class FarmScheduler:
         start = time.perf_counter()
         # Warm policy is process-wide: inline workers read it directly,
         # forked workers inherit it (and the booted templates) via COW.
-        worker_module.configure_warm(self.warm, self.tb_cache)
+        worker_module.configure_warm(self.warm)
         results: List[Optional[Dict]] = [None] * len(self.manifest)
         pending: List[int] = []
         self.cached_jobs = 0
@@ -447,14 +445,18 @@ class FarmScheduler:
                                 spec.id, attempts[index], commit,
                                 spool_path=self._worker_spool(
                                     digest, attempts[index]),
-                                trace_id=digest[:12])
+                                trace_id=digest[:12],
+                                held=self.chaos is not None)
             journal.record("dispatched", digest=digest, id=spec.id,
                            attempt=attempts[index], pid=handle.pid)
             self._trace_begin(digest, attempts[index], spec.id)
             self._trace_event("spawned", digest, id=spec.id,
                               attempt=attempts[index], pid=handle.pid)
             if self.chaos is not None:
+                # The worker is held at its start gate, so the injected
+                # fault lands before the job runs, however busy the host.
                 self.chaos.on_spawn(handle)
+                pool.release(handle)
             progressed = True
         return progressed
 
@@ -607,15 +609,13 @@ class StreamFarm:
                  run_dir: Optional[str] = None, resume: bool = False,
                  budget: Optional[int] = DEFAULT_BUDGET,
                  checkpoint_interval: int = STREAM_JOURNAL_CHECKPOINT,
-                 warm: bool = False,
-                 tb_cache: Optional[str] = None) -> None:
+                 warm: bool = False) -> None:
         self.manifest = manifest
         self.workers = max(1, workers)
         self.run_dir = run_dir
         self.resume = resume
         self.budget = budget
         self.warm = warm
-        self.tb_cache = tb_cache
         self.checkpoint_interval = max(1, checkpoint_interval)
         self.health = HealthStats()
         self.cached_jobs = 0
@@ -639,7 +639,7 @@ class StreamFarm:
         # Configured before the pool forks: each long-lived shard worker
         # boots its template lazily, once, and keeps it warm across
         # every job it streams.
-        worker_module.configure_warm(self.warm, self.tb_cache)
+        worker_module.configure_warm(self.warm)
         run_dir = self.run_dir or tempfile.mkdtemp(prefix="repro-stream-")
         results_dir = os.path.join(run_dir, "results")
         hb_dir = os.path.join(run_dir, "hb")
@@ -825,11 +825,9 @@ def run_farm(manifest, workers: int = 1,
         checkpoint = scheduler_options.pop("checkpoint_interval",
                                            STREAM_JOURNAL_CHECKPOINT)
         warm = scheduler_options.pop("warm", False)
-        tb_cache = scheduler_options.pop("tb_cache", None)
         farm = StreamFarm(manifest, workers=workers, run_dir=run_dir,
                           resume=resume, budget=budget,
-                          checkpoint_interval=checkpoint,
-                          warm=warm, tb_cache=tb_cache)
+                          checkpoint_interval=checkpoint, warm=warm)
         return farm.run()
 
     scheduler = FarmScheduler(manifest, workers=workers, store=store,

@@ -30,31 +30,14 @@ LIVE: Dict = {"platform": None, "tracer": None}
 # Warm-worker state, configured once per process by the scheduler (before
 # forking, so children inherit booted templates copy-on-write) via
 # :func:`configure_warm`.  ``templates`` maps config name -> a booted
-# platform that ``reset_for_job()`` returns to pristine between jobs;
-# ``persistence`` is the process-wide on-disk translation cache handle.
-WARM: Dict = {"enabled": False, "tb_cache": None, "persistence": None,
-              "templates": {}}
+# platform that ``reset_for_job()`` returns to pristine between jobs.
+WARM: Dict = {"enabled": False, "templates": {}}
 
 
-def configure_warm(enabled: bool = False,
-                   tb_cache: Optional[str] = None) -> None:
+def configure_warm(enabled: bool = False) -> None:
     """Set this process's warm-worker policy (scheduler entry point)."""
     WARM["enabled"] = bool(enabled)
-    WARM["tb_cache"] = tb_cache
-    WARM["persistence"] = None
     WARM["templates"] = {}
-
-
-def _persistence():
-    if WARM["tb_cache"] is None:
-        return None
-    persistence = WARM.get("persistence")
-    if persistence is None:
-        from repro.emulator.persist import TranslationPersistence
-
-        persistence = TranslationPersistence(WARM["tb_cache"])
-        WARM["persistence"] = persistence
-    return persistence
 
 
 def warm_boot_templates(configs) -> None:
@@ -67,9 +50,6 @@ def warm_boot_templates(configs) -> None:
         if config in WARM["templates"]:
             continue
         platform = make_platform(config)
-        persistence = _persistence()
-        if persistence is not None:
-            platform.attach_persistence(persistence)
         platform.prepare_template()
         WARM["templates"][config] = platform
 
@@ -104,9 +84,6 @@ def _boot_platform(spec: JobSpec, ctx):
         return platform
     if tracer is None:
         platform = make_platform(spec.config, trace=spec.trace)
-        persistence = _persistence()
-        if persistence is not None and not spec.trace:
-            platform.attach_persistence(persistence)
     else:
         with tracer.span("platform_boot", cat="worker",
                          config=spec.config):
@@ -271,10 +248,6 @@ def _emit_cache_counters(tracer) -> None:
     if tbc is not None:
         tracer.counter("tbc.hits", tbc.hits, cat="engine")
         tracer.counter("tbc.misses", tbc.misses, cat="engine")
-    persistence = getattr(platform, "persistence", None)
-    if persistence is not None:
-        for name, value in persistence.counter_items():
-            tracer.counter(name, value, cat="engine")
 
 
 def execute_shard(spec_dicts, out_path: str,
@@ -367,17 +340,6 @@ def execute_job(spec_dict: Dict, budget: Optional[int] = DEFAULT_BUDGET,
             "leaks": [],
         }
     elapsed = time.perf_counter() - start
-
-    # Commit this job's translation artifacts to the cross-job cache.
-    # Best-effort by design: a failed flush costs future warm hits, never
-    # the job's result.
-    platform = LIVE.get("platform")
-    if platform is not None and \
-            getattr(platform, "persistence", None) is not None:
-        try:
-            platform.persist_translations()
-        except Exception:
-            pass
 
     payload = result.value if isinstance(result.value, dict) else {}
     row = {

@@ -107,11 +107,9 @@ class AndroidPlatform:
         # the vanilla configuration disables the bookkeeping entirely.
         self.vm.taint_tracking = False
 
-        # Warm-worker machinery: the cross-job translation persistence
-        # (emulator/persist.py, injected via attach_persistence), libraries
-        # kept mapped + translated across jobs, and the boot-state snapshot
-        # reset_for_job() restores (captured by prepare_template()).
-        self.persistence = None
+        # Warm-worker machinery: libraries kept mapped + translated across
+        # jobs, and the boot-state snapshot reset_for_job() restores
+        # (captured by prepare_template()).
         self._resident_libraries: Dict[str, Tuple[Program, int, str]] = {}
         self._template: Optional[Dict] = None
 
@@ -142,8 +140,8 @@ class AndroidPlatform:
         resolves to the same source, the load skips assembly, mapping and
         cache invalidation entirely and only re-binds methods and replays
         the observable events; a different source evicts the stale
-        resident first (the content digests can never alias regardless —
-        this is a latency matter, not a correctness one).
+        resident first and loads at a fresh base, so translations of the
+        old code can never serve the new one.
         """
         if name in self._loaded_libraries:
             return self._loaded_libraries[name]
@@ -166,11 +164,6 @@ class AndroidPlatform:
         externs.update(self.libm.symbols)
         program = assemble(source, base=base, externs=externs)
         self.emu.load(base, program.code)
-        # load() dropped every cached translation, including entries
-        # seeded for other resident libraries — re-seed them, then
-        # announce (and seed) the new region.
-        self.emu.reseed_code_regions()
-        self.emu.register_code_region(base, bytes(program.code))
         size = max((len(program.code) + 0xFFF) & ~0xFFF, 0x1000)
         self.emu.memory_map.map(base, size, name, perms="r-x",
                                 third_party=True)
@@ -203,7 +196,6 @@ class AndroidPlatform:
         size = max((len(program.code) + 0xFFF) & ~0xFFF, 0x1000)
         for page in range(base >> 12, ((base + size - 1) >> 12) + 1):
             self.emu.invalidate_page(page)
-        self.emu.drop_code_region(base)
         self.emu.memory_map.unmap(base)
         self.kernel.sync_tasks_to_guest()
 
@@ -243,24 +235,7 @@ class AndroidPlatform:
             return 0
         return program.entry(symbol)
 
-    # -- warm workers: persistence + template/reset contract ---------------------------
-
-    def attach_persistence(self, persistence) -> None:
-        """Inject the cross-job translation cache into all three layers."""
-        self.persistence = persistence
-        self.emu.persistence = persistence
-        if self.vm.tbc is not None:
-            self.vm.tbc.persistence = persistence
-        self.jni.persistence = persistence
-
-    def persist_translations(self) -> Dict[str, int]:
-        """Record this job's translation artifacts and flush them to disk."""
-        if self.persistence is None:
-            return {}
-        self.emu.persist_code_regions()
-        if self.vm.tbc is not None:
-            self.vm.tbc.persist_blocks()
-        return self.persistence.flush()
+    # -- warm workers: template/reset contract -----------------------------------------
 
     def prepare_template(self) -> None:
         """Snapshot the booted state ``reset_for_job()`` restores.

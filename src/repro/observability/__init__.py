@@ -98,34 +98,16 @@ class Observability:
         self._platform = platform
         emu, kernel, vm = platform.emu, platform.kernel, platform.vm
         jni = platform.jni
-
-        def persist_counters(layer, prefix):
-            # The persistence object attaches after wire() (or never);
-            # read it dynamically so the source tracks attachment.
-            persistence = getattr(platform, "persistence", None)
-            if persistence is None:
-                return {}
-            counters = persistence.counters[layer]
-            return {f"{prefix}.{key}": value
-                    for key, value in counters.items()}
-
-        def emulator_source():
-            values = {
-                "instructions": emu.instruction_count,
-                "host_calls": emu.host_call_count,
-                "decodes": emu.decode_count,
-                "tb.blocks": emu.translation_stats()["blocks"],
-                "tb.translations": emu.translation_stats()["translations"],
-                "tb.invalidations":
-                    emu.translation_stats()["invalidations"],
-                "tb.hits": emu._tb_cache.hits,
-                "tb.misses": emu._tb_cache.misses,
-            }
-            values.update(persist_counters("tb", "tb.persist"))
-            return values
-
-        self.metrics.register_source("emulator", emulator_source,
-                                     gauges=("tb.blocks",))
+        self.metrics.register_source("emulator", lambda: {
+            "instructions": emu.instruction_count,
+            "host_calls": emu.host_call_count,
+            "decodes": emu.decode_count,
+            "tb.blocks": emu.translation_stats()["blocks"],
+            "tb.translations": emu.translation_stats()["translations"],
+            "tb.invalidations": emu.translation_stats()["invalidations"],
+            "tb.hits": emu._tb_cache.hits,
+            "tb.misses": emu._tb_cache.misses,
+        }, gauges=("tb.blocks",))
 
         def kernel_source():
             values = {"traps": kernel.syscall_count}
@@ -143,7 +125,7 @@ class Observability:
             tbc = vm.tbc
             if tbc is None:
                 return {}
-            values = {
+            return {
                 "hits": tbc.hits,
                 "misses": tbc.misses,
                 "invalidations": tbc.invalidations,
@@ -152,26 +134,17 @@ class Observability:
                 "flushes": tbc.flushes,
                 "cached_blocks": tbc.cached_blocks,
             }
-            values.update(persist_counters("tbc", "persist"))
-            return values
 
         self.metrics.register_source("dalvik.tbc", tbc_source,
                                      gauges=("cached_blocks",))
-
-        def jni_source():
-            values = {
-                "trampoline.hits": jni.trampoline_hits,
-                "trampoline.misses": jni.trampoline_misses,
-                "trampoline.invalidations": jni.trampoline_invalidations,
-                "trampoline.cached": len(jni._trampolines),
-                "crossings_fast": jni.crossings_fast,
-                "crossings_slow": jni.crossings_slow,
-            }
-            values.update(persist_counters("jni", "trampoline.persist"))
-            return values
-
-        self.metrics.register_source("jni", jni_source,
-                                     gauges=("trampoline.cached",))
+        self.metrics.register_source("jni", lambda: {
+            "trampoline.hits": jni.trampoline_hits,
+            "trampoline.misses": jni.trampoline_misses,
+            "trampoline.invalidations": jni.trampoline_invalidations,
+            "trampoline.cached": len(jni._trampolines),
+            "crossings_fast": jni.crossings_fast,
+            "crossings_slow": jni.crossings_slow,
+        }, gauges=("trampoline.cached",))
         self._propagate()
 
     def wire_ndroid(self, ndroid) -> None:

@@ -86,6 +86,14 @@ class Histogram:
         else:
             self._samples[(self.count * 2654435761) % self.SAMPLE_CAP] = value
 
+    def clear(self) -> None:
+        """Forget every observation in place (warm-worker job boundary)."""
+        self.count = 0
+        self.total = 0
+        self.minimum = None
+        self.maximum = None
+        self._samples.clear()
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0

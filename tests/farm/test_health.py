@@ -139,6 +139,76 @@ class TestHeartbeats:
             pool.kill(handle)
 
 
+    def test_watchdog_stall_is_not_charged_to_workers(self, tmp_path,
+                                                      monkeypatch):
+        # Synthetic clock: the watchdog looks, then is away for a whole
+        # second (a frozen host).  The silent worker must not read hung
+        # on the first look back, only after a full window of beats
+        # the watchdog was awake to miss.
+        interval = 0.02
+        monkeypatch.setattr(worker_module, "execute_job",
+                            lambda spec_dict, budget=None: time.sleep(30))
+        pool = make_pool(tmp_path, interval=interval)
+        handle = spawn(pool)
+        try:
+            os.kill(handle.pid, signal.SIGSTOP)
+            limit = interval * pool.miss_threshold
+            now = time.time()
+            assert pool.hung(now) == []
+            now += 1.0
+            assert handle.heartbeat_age(now) > limit
+            assert pool.hung(now) == []
+            resumed = now
+            while now - resumed <= limit:
+                assert pool.hung(now) == []
+                now += interval / 2
+            assert pool.hung(now) == [handle]
+        finally:
+            pool.kill(handle)
+
+
+class TestStartGate:
+    def test_held_worker_waits_for_release(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "committed.json")
+
+        def commit(result):
+            with open(out, "w") as handle:
+                handle.write(result["status"])
+
+        monkeypatch.setattr(worker_module, "execute_job",
+                            lambda spec_dict, budget=None: {"status": "ok"})
+        pool = make_pool(tmp_path)
+        handle = pool.spawn(SPEC, None, 0, DIGEST, SPEC["id"], 1, commit,
+                            held=True)
+        time.sleep(0.2)
+        assert pool.reap() == []
+        assert not os.path.exists(out)
+        pool.release(handle)
+        (__, status), = wait_reap(pool)
+        assert status == 0
+        with open(out) as committed:
+            assert committed.read() == "ok"
+
+    def test_kill_while_held_never_runs_the_job(self, tmp_path,
+                                                monkeypatch):
+        out = str(tmp_path / "committed.json")
+
+        def commit(result):
+            with open(out, "w") as handle:
+                handle.write(result["status"])
+
+        monkeypatch.setattr(worker_module, "execute_job",
+                            lambda spec_dict, budget=None: {"status": "ok"})
+        pool = make_pool(tmp_path)
+        handle = pool.spawn(SPEC, None, 0, DIGEST, SPEC["id"], 1, commit,
+                            held=True)
+        os.kill(handle.pid, signal.SIGKILL)
+        pool.release(handle)    # the dead worker's gate: no error
+        (__, status), = wait_reap(pool)
+        assert status == -signal.SIGKILL
+        assert not os.path.exists(out)
+
+
 class _gone:
     """Context manager asserting a pid no longer exists (ESRCH)."""
 

@@ -1,4 +1,4 @@
-"""Warm workers: template reset, fork isolation, crash-safe persistence.
+"""Warm workers: template reset, resident eviction, fork isolation.
 
 Pins the warm-fork contract end to end:
 
@@ -6,24 +6,21 @@ Pins the warm-fork contract end to end:
   re-runs any job with engine-identical results while keeping the
   translation caches warm;
 * the worker module reuses one booted template per config across jobs;
+* a resident library whose name a later job ships with different code
+  is evicted: none of the old code's translations survive, and the job
+  runs exactly as it would cold;
 * after a fork, self-modifying code invalidates the *child's* warm
   translation state without touching the template in the parent (the
-  write-watcher re-registration in ``reset_for_job()``);
-* SIGKILLing a process mid-``flush()`` leaves the persistent cache
-  loadable — every committed file is whole (fsync+rename discipline).
+  write-watcher re-registration in ``reset_for_job()``).
 """
 
 import os
-import signal
-import time
 
 import pytest
 
 from repro.apps import ALL_SCENARIOS
 from repro.apps.base import run_scenario
 from repro.bench.harness import make_platform
-from repro.cpu import isa
-from repro.emulator.persist import TranslationPersistence, content_digest
 from repro.farm import worker as worker_module
 from repro.farm.manifest import JobSpec
 
@@ -31,9 +28,9 @@ from repro.farm.manifest import JobSpec
 @pytest.fixture(autouse=True)
 def cold_worker_defaults():
     """Every test starts — and leaves the process — in cold mode."""
-    worker_module.configure_warm(False, None)
+    worker_module.configure_warm(False)
     yield
-    worker_module.configure_warm(False, None)
+    worker_module.configure_warm(False)
 
 
 def leak_rows(platform):
@@ -92,6 +89,24 @@ class TestResetForJob:
         assert platform.kernel.syscall_count == 0
         assert len(platform.event_log) == 0
 
+    def test_crossing_histogram_counts_only_the_current_job(self):
+        from repro.observability.spans import SpanTracer
+
+        platform = make_platform("ndroid", trace=True)
+        platform.observability.attach_spans(SpanTracer())
+        histogram = platform.observability.metrics.histogram(
+            "jni.crossing_us")
+        platform.jni.crossing_histogram = histogram
+        platform.prepare_template()
+        for __ in range(2):
+            platform.reset_for_job()
+            assert histogram.count == 0
+            run_scenario(ALL_SCENARIOS["case2"](), platform)
+            jni = platform.jni
+            crossings = jni.crossings_fast + jni.crossings_slow
+            assert crossings > 0
+            assert histogram.count == crossings
+
 
 class TestWarmWorker:
     def spec(self, target: str) -> dict:
@@ -99,7 +114,7 @@ class TestWarmWorker:
                        target=target).to_dict()
 
     def test_template_reused_across_jobs(self, tmp_path):
-        worker_module.configure_warm(True, None)
+        worker_module.configure_warm(True)
         cold = worker_module.execute_job(self.spec("case2"))
         assert cold["status"] in ("ok", "degraded")
 
@@ -112,25 +127,64 @@ class TestWarmWorker:
         targets = ("case1", "case2", "benign")
         cold = {t: worker_module.execute_job(self.spec(t))
                 for t in targets}
-        worker_module.configure_warm(True, None)
+        worker_module.configure_warm(True)
         for target in targets:
             warm = worker_module.execute_job(self.spec(target))
             assert warm["leaks"] == cold[target]["leaks"]
             assert warm["detected"] == cold[target]["detected"]
 
-    def test_persistence_round_trip_through_worker(self, tmp_path):
-        cache = str(tmp_path / "tbcache")
-        worker_module.configure_warm(False, cache)
-        first = worker_module.execute_job(self.spec("case2"))
-        assert first["status"] in ("ok", "degraded")
-        # "New process": reset the module state, same cache directory.
-        worker_module.configure_warm(False, cache)
-        second = worker_module.execute_job(self.spec("case2"))
-        assert second["leaks"] == first["leaks"]
-        persistence = worker_module.WARM["persistence"]
-        assert persistence is not None
-        hits = sum(c["hits"] for c in persistence.counters.values())
-        assert hits > 0
+
+def with_library_source(scenario, edit):
+    """``scenario`` with its single native library's source rewritten."""
+    (name, source), = scenario.apk.native_libraries.items()
+    scenario.apk.native_libraries = {name: edit(source)}
+    return scenario
+
+
+def rewrite_case2(source: str) -> str:
+    # Same library name, different code at the same offsets (one extra
+    # instruction up front) and a different destination: a stale
+    # translation of the old code would leak to the old host.
+    rewritten = source.replace("push {r4, r5, r6, lr}",
+                               "push {r4, r5, r6, lr}\n        mov r3, #7", 1)
+    rewritten = rewritten.replace(".asciz \"case2.collect.",
+                                  ".asciz \"case2.rewritten.")
+    assert rewritten.count("mov r3, #7") == 1 and "rewritten" in rewritten
+    return rewritten
+
+
+class TestResidentEviction:
+    def test_same_name_different_code_matches_cold(self):
+        cold = make_platform("ndroid")
+        replaced = with_library_source(ALL_SCENARIOS["case2"](),
+                                       rewrite_case2)
+        run_scenario(replaced, cold)
+        expected = (leak_rows(cold), cold.work_counters())
+        assert any("rewritten" in row[3] for row in expected[0])
+
+        platform = make_platform("ndroid")
+        platform.prepare_template()
+        platform.reset_for_job()
+        run_scenario(ALL_SCENARIOS["case2"](), platform)
+        (name, (program, old_base, __)), = \
+            platform._resident_libraries.items()
+        old_end = old_base + len(program.code)
+        old_pages = set(range(old_base >> 12, ((old_end - 1) >> 12) + 1))
+        emu = platform.emu
+        assert any(old_base <= address < old_end
+                   for address, __ in emu._decode_cache)
+
+        platform.reset_for_job()
+        run_scenario(with_library_source(ALL_SCENARIOS["case2"](),
+                                         rewrite_case2), platform)
+        assert (leak_rows(platform), platform.work_counters()) == expected
+        # The old code left nothing behind: no decoded instruction, no
+        # translation block, no page index entry.
+        assert platform._resident_libraries[name][1] != old_base
+        assert not any(old_base <= address < old_end
+                       for address, __ in emu._decode_cache)
+        assert not old_pages & set(emu._decode_pages)
+        assert not old_pages & set(emu._tb_cache.pages())
 
 
 class TestForkIsolation:
@@ -176,7 +230,7 @@ class TestForkIsolation:
             bytes(program.code[:4])
 
     def test_forked_child_reruns_job_with_parity(self):
-        worker_module.configure_warm(True, None)
+        worker_module.configure_warm(True)
         worker_module.warm_boot_templates(["ndroid"])
         expected = worker_module.execute_job(
             {"id": "scenario:case2", "kind": "scenario",
@@ -195,45 +249,3 @@ class TestForkIsolation:
             finally:
                 os._exit(code)
         assert wait_exit(pid) == 0
-
-
-class TestCrashSafePersistence:
-    def test_sigkill_during_flush_leaves_cache_loadable(self, tmp_path):
-        root = str(tmp_path / "cache")
-        nop = isa.Nop(cond=isa.Cond.AL, width=4)
-
-        pid = os.fork()
-        if pid == 0:
-            try:
-                persistence = TranslationPersistence(root)
-                index = 0
-                while True:    # flush forever until SIGKILLed mid-write
-                    digest = content_digest(f"region-{index}".encode())
-                    persistence.update_region(
-                        digest, [(offset * 4, False, nop)
-                                 for offset in range(64)])
-                    persistence.flush()
-                    index += 1
-            finally:
-                os._exit(1)    # only reached if the loop somehow breaks
-
-        time.sleep(0.25)
-        os.kill(pid, signal.SIGKILL)
-        __, raw = os.waitpid(pid, 0)
-        assert os.WIFSIGNALED(raw) and os.WTERMSIG(raw) == signal.SIGKILL
-
-        committed = []
-        for dirpath, __, names in os.walk(root):
-            for name in names:
-                if ".tmp." in name:
-                    continue    # an uncommitted temp is expected debris
-                assert name.endswith(".json")
-                committed.append(name[:-len(".json")])
-        assert committed, "child was killed before any flush completed"
-
-        # Every committed entry is whole: a fresh process loads each one.
-        fresh = TranslationPersistence(root)
-        for digest in committed:
-            entries = fresh.load_region(digest)
-            assert entries is not None
-            assert len(entries) == 64

@@ -1,11 +1,11 @@
-"""Differential parity: cold boot vs warm reset vs persistent rehydrate.
+"""Differential parity: cold boot vs warm reset.
 
 The acceptance bar for the warm-worker farm: across every built-in
-scenario, all three execution modes must be *engine-identical* — the
-same leak rows, the same work counters (native/Dalvik instruction
-counts, host calls, syscalls, GC cycles), and the same detection
-verdict.  A warm reset or a cache rehydration that perturbs any of
-these is a correctness bug, not a performance trade.
+scenario, both execution modes must be *engine-identical* — the same
+leak rows, the same work counters (native/Dalvik instruction counts,
+host calls, syscalls, GC cycles), and the same detection verdict.  A
+warm reset that perturbs any of these is a correctness bug, not a
+performance trade.
 """
 
 import pytest
@@ -13,7 +13,6 @@ import pytest
 from repro.apps import ALL_SCENARIOS
 from repro.apps.base import run_scenario
 from repro.bench.harness import make_platform
-from repro.emulator.persist import TranslationPersistence
 
 SCENARIOS = sorted(ALL_SCENARIOS)
 
@@ -50,18 +49,6 @@ def warm_template():
     return platform
 
 
-@pytest.fixture(scope="module")
-def seeded_cache(tmp_path_factory):
-    """A translation cache populated by one cold pass over everything."""
-    root = str(tmp_path_factory.mktemp("tbcache"))
-    for name in SCENARIOS:
-        platform = make_platform("ndroid")
-        platform.attach_persistence(TranslationPersistence(root))
-        run_scenario(ALL_SCENARIOS[name](), platform)
-        platform.persist_translations()
-    return root
-
-
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_warm_reset_matches_cold(name, cold_baseline, warm_template):
     warm_template.reset_for_job()
@@ -70,20 +57,7 @@ def test_warm_reset_matches_cold(name, cold_baseline, warm_template):
     assert observe(warm_template, scenario) == cold_baseline[name]
 
 
-@pytest.mark.parametrize("name", SCENARIOS)
-def test_rehydrated_matches_cold(name, cold_baseline, seeded_cache):
-    scenario = ALL_SCENARIOS[name]()
-    platform = make_platform("ndroid")
-    persistence = TranslationPersistence(seeded_cache)
-    platform.attach_persistence(persistence)
-    run_scenario(scenario, platform)
-    assert observe(platform, scenario) == cold_baseline[name]
-    # The cache must actually participate — rehydration, not a re-decode.
-    assert sum(c["hits"] for c in persistence.counters.values()) > 0
-
-
-def test_warm_then_rehydrated_interleaved(cold_baseline, warm_template,
-                                          seeded_cache):
+def test_warm_then_cold_interleaved(cold_baseline, warm_template):
     """Mode order can't matter: alternate modes over the same scenarios."""
     for name in SCENARIOS[:4]:
         scenario = ALL_SCENARIOS[name]()
@@ -93,6 +67,5 @@ def test_warm_then_rehydrated_interleaved(cold_baseline, warm_template,
 
         scenario = ALL_SCENARIOS[name]()
         platform = make_platform("ndroid")
-        platform.attach_persistence(TranslationPersistence(seeded_cache))
         run_scenario(scenario, platform)
         assert observe(platform, scenario) == cold_baseline[name]
