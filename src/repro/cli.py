@@ -143,8 +143,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            "watchdog fires (default 2,000,000)")
     farm.add_argument("--deadline", type=float, default=0.0,
                       metavar="SECONDS",
-                      help="per-job wall-clock deadline; a worker past "
-                           "it is SIGKILLed and the job retried "
+                      help="per-job wall-clock deadline (per shard for a "
+                           "sharded manifest); a worker past it is "
+                           "SIGKILLed and its job or shard retried "
                            "(default 0 = no deadline)")
     farm.add_argument("--max-retries", type=int, default=2,
                       help="requeue a job whose worker died/hung up to "
@@ -154,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            "farm run: inject worker kills/SIGSTOPs, "
                            "SIGKILL the scheduler mid-run, tear a "
                            "result file, resume, and verify the "
-                           "recovery invariants")
+                           "recovery invariants (job manifests only)")
     farm.add_argument("--chaos-inject", type=int, default=None,
                       metavar="SEED", help=argparse.SUPPRESS)
     farm.add_argument("--trace-dir", default=None, metavar="DIR",
@@ -438,36 +439,12 @@ def _command_shard(args) -> int:
     return 0
 
 
-def _command_farm_stream(args, manifest) -> int:
-    """A sharded manifest routes to the streaming farm."""
-    import os
-    from repro.farm import (FarmInterrupted, render_farm_report,
-                            write_farm_artifacts)
-    from repro.farm.scheduler import StreamFarm
-
-    farm = StreamFarm(manifest, workers=args.workers,
-                      run_dir=os.path.join(args.out, "runstate"),
-                      resume=args.resume, budget=args.budget,
-                      warm=args.warm)
-    try:
-        report = farm.run()
-    except FarmInterrupted as drained:
-        print(f"interrupted: {drained} — journaled, workers reaped; "
-              f"re-run with --resume to finish", file=sys.stderr)
-        return 130
-    write_farm_artifacts(report, args.out)
-    print(render_farm_report(report), end="")
-    print(f"wrote {args.out}/{{farm.json, report.txt, merged/}}")
-    return 1 if report.outcomes.get("lost", 0) else 0
-
-
 def _command_farm(args) -> int:
     import os
     from repro.farm import (ChaosMonkey, FarmConsole, FarmInterrupted,
-                            FarmScheduler, Manifest, ResultStore,
-                            merge_results, render_farm_report,
+                            Manifest, ResultStore, ShardedManifest,
+                            render_farm_report, run_farm,
                             write_farm_artifacts, write_trace_artifacts)
-    from repro.farm.manifest import ShardedManifest
     try:
         manifest = Manifest.load(args.manifest, trace=args.trace) \
             if args.manifest == "builtin" else Manifest.load(args.manifest)
@@ -477,27 +454,29 @@ def _command_farm(args) -> int:
     if not len(manifest):
         print("manifest holds no jobs", file=sys.stderr)
         return 2
-    if isinstance(manifest, ShardedManifest):
-        return _command_farm_stream(args, manifest)
+    sharded = isinstance(manifest, ShardedManifest)
+    if sharded and (args.chaos is not None or args.chaos_inject is not None):
+        print("--chaos/--chaos-inject elect per-job victims and do not "
+              "apply to a sharded manifest", file=sys.stderr)
+        return 2
     if args.chaos is not None:
         return _command_farm_chaos(args, manifest)
-    store = ResultStore(os.path.join(args.out, "cache"))
     chaos = None
     if args.chaos_inject is not None:
         chaos = ChaosMonkey.for_manifest(manifest, args.chaos_inject)
+    # A sharded run caches in its committed shard files, not the store.
+    store = None if sharded else ResultStore(os.path.join(args.out, "cache"))
     run_dir = os.path.join(args.out, "runstate")
-    scheduler = FarmScheduler(
-        manifest, workers=args.workers, store=store, resume=args.resume,
-        budget=args.budget, deadline=args.deadline or None,
-        max_retries=args.max_retries, chaos=chaos,
-        run_dir=run_dir, trace_dir=args.trace_dir,
-        warm=args.warm)
     console = None
     if args.watch:
         console = FarmConsole(run_dir, trace_dir=args.trace_dir)
         console.start()
     try:
-        results = scheduler.run()
+        report = run_farm(
+            manifest, workers=args.workers, store=store, resume=args.resume,
+            budget=args.budget, deadline=args.deadline or None,
+            max_retries=args.max_retries, chaos=chaos, run_dir=run_dir,
+            trace_dir=args.trace_dir, warm=args.warm)
     except FarmInterrupted as drained:
         print(f"interrupted: {drained} — journaled, workers reaped; "
               f"re-run with --resume to finish", file=sys.stderr)
@@ -505,10 +484,6 @@ def _command_farm(args) -> int:
     finally:
         if console is not None:
             console.stop()
-    report = merge_results(results, workers=args.workers,
-                           wall_seconds=scheduler.wall_seconds,
-                           cached_jobs=scheduler.cached_jobs,
-                           health=scheduler.health.summary())
     write_farm_artifacts(report, args.out)
     if args.trace_dir is not None:
         artifacts = write_trace_artifacts(args.trace_dir)
@@ -516,8 +491,7 @@ def _command_farm(args) -> int:
               f"and {artifacts['timeline']}")
     print(render_farm_report(report), end="")
     print(f"wrote {args.out}/{{farm.json, report.txt, jobs/, merged/}}")
-    lost = report.outcomes.get("lost", 0)
-    return 1 if lost else 0
+    return 1 if report.outcomes.get("lost", 0) else 0
 
 
 def _command_farm_chaos(args, manifest) -> int:

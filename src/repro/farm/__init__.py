@@ -20,20 +20,22 @@ completes the run with no lost jobs, no duplicates, no corrupt store.
 
 Paper-scale corpus runs stream instead of materializing: a
 :class:`ShardedManifest` spools chunk-classification jobs into
-digest-stable JSONL shards, :class:`StreamFarm` serves whole shards
-from long-lived forked workers with atomic shard commits and
-shard-level resume, and :class:`~repro.farm.merge.MergeFold` folds the
-results in bounded memory (see DESIGN.md "Paper-scale pipeline").
+digest-stable JSONL shards, :class:`StreamFarm` dispatches each shard
+as one unit of the same worker pool and fault model as a job, with
+atomic shard commits and shard-level resume, and
+:class:`~repro.farm.merge.MergeFold` folds the results in bounded
+memory (see DESIGN.md "Paper-scale pipeline").
 
 Layers::
 
     Manifest (manifest.py)   what to run, digest-keyed JobSpecs
     ShardedManifest (manifest.py) streamed JSONL shards + index
     FarmScheduler (scheduler.py)  dispatch -> retry/quarantine -> collect
-    StreamFarm (scheduler.py)  shard workers, bounded-memory corpus runs
+    StreamFarm (scheduler.py)  the same loop, one shard per unit
     execute_job (worker.py)  one supervised job, JSON-able result
+    execute_shard (worker.py)  a shard's jobs, one atomic JSONL commit
     WorkerPool (health.py)   fork, heartbeat, hung-vs-dead, reclaim
-    RunJournal (journal.py)  crash-consistent WAL of job transitions
+    RunJournal (journal.py)  crash-consistent WAL of unit transitions
     ResultStore (store.py)   digest-addressed fsync'd result cache
     ChaosMonkey (chaos.py)   deterministic fault injection + harness
     merge_results (merge.py) type-aware metric merge, tombstones, report

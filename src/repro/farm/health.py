@@ -6,18 +6,20 @@ hung one never surfaced at all.  At market-study scale (the paper's
 Section III covers 227,911 APKs) both are the steady state, so the farm
 now owns its workers directly:
 
-* each job runs in a **forked child** that commits its result with the
-  store's crash-consistent write and then ``_exit``\\ s — no interpreter
-  teardown, no shared descriptors flushed twice;
-* a **heartbeat thread** in the child stamps a per-job heartbeat file
+* each unit (a job, or a whole shard) runs in a **forked child** that
+  commits its result with a crash-consistent write and then
+  ``_exit``\\ s — no interpreter teardown, no shared descriptors
+  flushed twice;
+* a **heartbeat thread** in the child stamps a per-unit heartbeat file
   every ``interval`` seconds.  A SIGSTOP'd or livelocked worker stops
   stamping, so the scheduler can tell *hung* (alive but silent — reap
   it) from merely *busy* (stamping away — leave it alone), which no
   exit-status channel can express;
-* the pool reaps with ``waitpid(WNOHANG)``, SIGKILLs workers that miss
-  ``miss_threshold`` consecutive heartbeats or outlive the per-job
-  wall-clock deadline, and reports every reclaim with the time elapsed
-  since the worker's last proof of life.
+* the pool reaps with ``waitpid(WNOHANG)`` — waiting between passes on
+  the workers' pidfds, so an exit wakes the scheduler at once — SIGKILLs
+  workers that miss ``miss_threshold`` consecutive heartbeats or outlive
+  the per-unit wall-clock deadline, and reports every reclaim with the
+  time elapsed since the worker's last proof of life.
 
 :class:`HealthStats` aggregates the whole fault-tolerance story
 (reclaims by cause, retries, quarantines, mean time to reclaim) for the
@@ -27,6 +29,7 @@ merged farm report and the observability metrics registry.
 from __future__ import annotations
 
 import os
+import select
 import signal
 import threading
 import time
@@ -109,15 +112,17 @@ class _HeartbeatThread(threading.Thread):
 def run_worker(spec_dict: Dict, budget: Optional[int], hb_path: str,
                interval: float, commit: Callable[[Dict], None],
                spool_path: Optional[str] = None, trace_id: str = "",
-               digest: str = "") -> None:
+               digest: str = "", execute: Optional[Callable] = None) -> None:
     """Body of a forked farm worker; commits a result, then the caller
     must ``_exit``.
 
-    ``execute_job`` is resolved through the module at call time (not
-    imported at module load) so tests can monkeypatch it in the parent
-    and have the fork inherit the patch.  With ``spool_path`` set, the
-    worker opens its own post-fork :class:`SpanTracer` spool (no shared
-    descriptors) and traces the job + store commit.
+    ``execute`` runs the unit (``execute(spec_dict, budget=...)``, plus
+    ``tracer=`` when tracing); by default it is ``execute_job``,
+    resolved through the module at call time (not imported at module
+    load) so tests can monkeypatch it in the parent and have the fork
+    inherit the patch.  With ``spool_path`` set, the worker opens its
+    own post-fork :class:`SpanTracer` spool (no shared descriptors) and
+    traces the unit + store commit.
     """
     from repro.farm import worker as worker_module
 
@@ -130,20 +135,34 @@ def run_worker(spec_dict: Dict, budget: Optional[int], hb_path: str,
     stamp_heartbeat(hb_path, digest)
     beat = _HeartbeatThread(hb_path, interval, vitals=vitals)
     beat.start()
+    if execute is None:
+        execute = worker_module.execute_job
     if spool_path is None:
         # No tracer kwarg on this path: tests monkeypatch execute_job
         # with narrower signatures, and the fork inherits the patch.
-        result = worker_module.execute_job(spec_dict, budget=budget)
+        result = execute(spec_dict, budget=budget)
         commit(result)
         return
     from repro.observability.flight import FlightSpool
     from repro.observability.spans import SpanTracer
     tracer = SpanTracer(spool=FlightSpool(spool_path), trace_id=trace_id)
-    result = worker_module.execute_job(spec_dict, budget=budget,
-                                       tracer=tracer)
+    result = execute(spec_dict, budget=budget, tracer=tracer)
     with tracer.span("store_commit", cat="worker"):
         commit(result)
     tracer.close()
+
+
+def _open_pidfd(pid: int) -> Optional[int]:
+    try:
+        return os.pidfd_open(pid)
+    except (AttributeError, OSError):   # not Linux >= 5.3: poll instead
+        return None
+
+
+def _close_pidfd(handle: "WorkerHandle") -> None:
+    pidfd, handle.pidfd = handle.pidfd, None
+    if pidfd is not None:
+        os.close(pidfd)
 
 
 @dataclass
@@ -151,7 +170,7 @@ class WorkerHandle:
     """One live forked worker, as the scheduler sees it."""
 
     pid: int
-    index: int                  # manifest index of the job it serves
+    index: int                  # manifest index of the unit it serves
     digest: str
     job_id: str
     attempt: int
@@ -159,6 +178,7 @@ class WorkerHandle:
     spawned_monotonic: float
     spawned_wall: float
     gate: Optional[int] = None  # write end of a held worker's start gate
+    pidfd: Optional[int] = None  # readable once the worker exits (Linux)
 
     def heartbeat_age(self, now_wall: float) -> float:
         """Seconds since the last proof of life (spawn counts as one)."""
@@ -197,12 +217,13 @@ class WorkerPool:
               digest: str, job_id: str, attempt: int,
               commit: Callable[[Dict], None],
               spool_path: Optional[str] = None,
-              trace_id: str = "", held: bool = False) -> WorkerHandle:
-        """Fork one worker.  ``held`` parks the child before it starts
-        the job until :meth:`release`, so whatever the caller does to a
-        fresh worker (a chaos kill or stop) lands on a worker that has
-        not run yet — never, on a busy host, on one that already
-        finished."""
+              trace_id: str = "", held: bool = False,
+              execute: Optional[Callable] = None) -> WorkerHandle:
+        """Fork one worker to run one unit (see :func:`run_worker`).
+        ``held`` parks the child before it starts the unit until
+        :meth:`release`, so whatever the caller does to a fresh worker
+        (a chaos kill or stop) lands on a worker that has not run yet —
+        never, on a busy host, on one that already finished."""
         hb_path = os.path.join(self.hb_dir, digest)
         # A stale heartbeat from a previous attempt must not vouch for
         # the new worker.
@@ -222,7 +243,7 @@ class WorkerPool:
                     os.close(gate_read)
                 run_worker(spec_dict, budget, hb_path, self.interval, commit,
                            spool_path=spool_path, trace_id=trace_id,
-                           digest=digest)
+                           digest=digest, execute=execute)
                 code = 0
             except BaseException:
                 code = 1
@@ -234,7 +255,8 @@ class WorkerPool:
                               job_id=job_id, attempt=attempt,
                               hb_path=hb_path,
                               spawned_monotonic=time.monotonic(),
-                              spawned_wall=time.time(), gate=gate_write)
+                              spawned_wall=time.time(), gate=gate_write,
+                              pidfd=_open_pidfd(pid))
         if gate_read is not None:
             os.close(gate_read)
         self.live[pid] = handle
@@ -267,12 +289,25 @@ class WorkerPool:
             if reaped == 0:
                 continue
             handle = self.live.pop(pid)
+            _close_pidfd(handle)
             if os.WIFSIGNALED(raw):
                 status = -os.WTERMSIG(raw)
             else:
                 status = os.WEXITSTATUS(raw)
             finished.append((handle, status))
         return finished
+
+    def wait(self, timeout: float) -> None:
+        """Sleep up to ``timeout``, waking as soon as any worker exits."""
+        pidfds = [handle.pidfd for handle in self.live.values()
+                  if handle.pidfd is not None]
+        if not pidfds:
+            time.sleep(timeout)
+            return
+        poller = select.poll()      # unlike select(), no FD_SETSIZE cap
+        for pidfd in pidfds:
+            poller.register(pidfd, select.POLLIN)
+        poller.poll(timeout * 1000)
 
     def hung(self, now_wall: Optional[float] = None) -> List[WorkerHandle]:
         """Workers silent for more than ``miss_threshold`` beats.
@@ -312,6 +347,7 @@ class WorkerPool:
         processes, which no catchable signal does.
         """
         self.live.pop(handle.pid, None)
+        _close_pidfd(handle)
         if handle.gate is not None:
             os.close(handle.gate)
             handle.gate = None

@@ -1,26 +1,31 @@
 """The crash-consistent run journal: a write-ahead log of job state.
 
-Every farm run appends its job state transitions to one JSONL file::
+Every farm run appends its unit state transitions to one JSONL file.  A
+unit is one job, or one shard when :class:`~repro.farm.scheduler.StreamFarm`
+runs a sharded manifest; ``digest`` and ``id`` name the unit::
 
     run_start   -> a scheduler (re)started over this manifest
-    cached      -> a job replayed from the result store (terminal)
-    dispatched  -> a job handed to a worker (records attempt + pid)
-    strike      -> the worker serving a job was reclaimed (died / hung /
+    cached      -> a unit replayed from the result store or a committed
+                   shard file (terminal)
+    dispatched  -> a unit handed to a worker (records attempt + pid)
+    strike      -> the worker serving a unit was reclaimed (died / hung /
                    over deadline / committed a torn result)
-    retry       -> a struck job requeued with a backoff delay
+    retry       -> a struck unit requeued with a backoff delay
     done        -> a worker result accepted (terminal)
-    poison      -> a job quarantined after striking out (terminal)
+    poison      -> a unit quarantined after striking out (terminal)
     lost        -> retries exhausted below the poison threshold (terminal)
-    interrupted -> an in-flight job abandoned by a clean drain
+    interrupted -> an in-flight unit abandoned by a clean drain
     run_end     -> the scheduler finished normally
 
 Each line is flushed **and fsync'd** before the transition it describes
 takes effect, which is what makes the scheduler itself a restartable
 unit: SIGKILL it mid-run and the journal still tells the resume run
-which jobs were in flight, how many attempts each had consumed, and —
-crucially — how many workers each job has killed, so a poison job's
-strike count survives scheduler death and the job is quarantined after
-K strikes *total*, not K strikes per scheduler lifetime.
+which units were in flight, how many attempts each had consumed, and —
+crucially — how many workers each unit has killed, so a poison unit's
+strike count survives scheduler death and the unit is quarantined after
+K strikes *total*, not K strikes per scheduler lifetime.  A sharded run
+journals about two records per shard, so one fsync each costs nothing
+worth batching.
 
 The reader side tolerates exactly the damage a SIGKILL can cause: a
 torn final line (the write that was in flight when the process died)
@@ -39,23 +44,11 @@ TERMINAL_EVENTS = ("cached", "done", "poison", "lost")
 
 
 class RunJournal:
-    """Append-only JSONL journal for one run directory.
+    """Append-only JSONL journal for one run directory; every record is
+    fsync'd before :meth:`record` returns (the write-ahead discipline)."""
 
-    ``checkpoint_interval=1`` (the default) fsyncs every record — the
-    write-ahead discipline the per-job scheduler depends on.  Streaming
-    corpus runs, where a "job" is thousands of cheap chunk records and
-    durability is carried by shard-level atomic commits, pass a larger
-    interval: every record is still flushed to the OS immediately, but
-    the fsync barrier lands once per ``checkpoint_interval`` records
-    (and always on :meth:`checkpoint` and :meth:`close`).  The worst a
-    power loss can cost is the records since the last checkpoint, all of
-    which describe work the shard commit protocol re-derives.
-    """
-
-    def __init__(self, path: str, checkpoint_interval: int = 1) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.checkpoint_interval = max(1, checkpoint_interval)
-        self._pending = 0
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
@@ -65,21 +58,10 @@ class RunJournal:
         line = json.dumps({"event": event, **fields}, sort_keys=True)
         self._handle.write(line + "\n")
         self._handle.flush()
-        self._pending += 1
-        if self._pending >= self.checkpoint_interval:
-            self.checkpoint()
-
-    def checkpoint(self) -> None:
-        """Force the fsync barrier for everything recorded so far."""
-        if self._handle.closed:
-            return
         os.fsync(self._handle.fileno())
-        self._pending = 0
 
     def close(self) -> None:
         if not self._handle.closed:
-            if self._pending:
-                self.checkpoint()
             self._handle.close()
 
     def __enter__(self) -> "RunJournal":

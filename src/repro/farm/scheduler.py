@@ -5,29 +5,32 @@ baseline the parity tests and the bench compare against, not a special
 case bolted on.  ``workers>1`` dispatches to a pool of directly-forked
 workers (:mod:`repro.farm.health`) under full fleet discipline:
 
-* **heartbeats** — each worker stamps a per-job heartbeat file; the
+* **heartbeats** — each worker stamps a per-unit heartbeat file; the
   scheduler distinguishes *hung* (alive, silent — SIGKILL + reclaim)
   from *dead* (reaped) from *busy* (stamping — leave it alone), and
-  enforces an optional per-job wall-clock ``deadline`` on top of the
+  enforces an optional per-unit wall-clock ``deadline`` on top of the
   Supervisor's in-worker instruction budget;
-* **bounded retry with backoff + jitter** — a job whose worker died,
+* **bounded retry with backoff + jitter** — a unit whose worker died,
   hung, or tore its result is requeued up to ``max_retries`` times with
   exponentially growing, deterministically jittered delays (shared
   policy: :func:`repro.resilience.backoff.backoff_delay`);
-* **poison quarantine** — a job that kills ``poison_threshold`` workers
+* **poison quarantine** — a unit that kills ``poison_threshold`` workers
   (counted across scheduler restarts, via the journal) is classified
   ``poison`` with a tombstone, cached, and never dispatched again: one
   hostile app costs one classified outcome fleet-wide;
 * **write-ahead journal** — every transition is fsync'd to
   ``run_dir/journal.jsonl`` *before* it takes effect, and workers commit
-  results with crash-consistent store writes, so SIGKILLing the
-  scheduler itself mid-run and re-running with ``resume=True`` completes
-  exactly: no lost jobs, no duplicate records, no corrupt store;
+  results with crash-consistent writes, so SIGKILLing the scheduler
+  itself mid-run and re-running with ``resume=True`` completes exactly:
+  no lost jobs, no duplicate records, no corrupt store;
 * **clean drain** — SIGTERM/``KeyboardInterrupt`` journals in-flight
-  jobs as ``interrupted``, SIGKILLs the pool (no leaked forks), and
+  units as ``interrupted``, SIGKILLs the pool (no leaked forks), and
   raises :class:`FarmInterrupted` for the CLI to exit nonzero.
 
-Every job ends in exactly one of ``cached`` / a worker-classified result
+The unit of dispatch is one job for :class:`FarmScheduler` and one shard
+for :class:`StreamFarm`, which overrides only the unit hooks: both farms
+share this dispatch loop and this failure policy.  Every job ends in
+exactly one of ``cached`` / a worker-classified result
 (``ok``/``degraded``/``crashed``/``timeout``) / ``poison`` / ``lost``
 (retries exhausted below the poison threshold; never cached).
 """
@@ -43,7 +46,7 @@ import tempfile
 import threading
 import time
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.farm import worker as worker_module
 from repro.farm.health import (
@@ -51,7 +54,6 @@ from repro.farm.health import (
     HealthStats,
     WorkerHandle,
     WorkerPool,
-    stamp_heartbeat,
 )
 from repro.farm.journal import RunJournal, replay
 from repro.farm.manifest import JobSpec, Manifest, ShardedManifest
@@ -61,7 +63,6 @@ from repro.resilience.backoff import backoff_delay, jitter_rng
 
 STATUS_LOST = "lost"
 STATUS_POISON = "poison"
-STATUS_INTERRUPTED = "interrupted"
 
 # Statuses worth replaying from cache on --resume.  Crashes/timeouts are
 # deterministic under a fixed spec, so they cache too, and a poison
@@ -76,7 +77,7 @@ RETRY_BACKOFF_JITTER = 0.5
 
 
 class FarmInterrupted(RuntimeError):
-    """A clean drain: the run was interrupted, in-flight jobs journaled."""
+    """A clean drain: the run was interrupted, in-flight units journaled."""
 
     def __init__(self, in_flight: List[str]) -> None:
         jobs = ", ".join(in_flight) if in_flight else "none in flight"
@@ -113,24 +114,19 @@ def _lost_result(spec: JobSpec, error, elapsed: float,
 
 
 def _poison_result(spec: JobSpec, strikes: int, reasons: List[str],
-                   elapsed: float, attempts: int) -> Dict:
-    message = (f"poison job: killed {strikes} workers "
+                   elapsed: float, attempts: int, unit: str = "job",
+                   last_instructions: int = 0) -> Dict:
+    message = (f"poison {unit}: killed {strikes} workers "
                f"({', '.join(reasons)})")
     tombstone = {
         "error_type": "PoisonJob",
         "error_message": message,
         "strikes": strikes,
         "strike_reasons": list(reasons),
+        "last_instructions": last_instructions,
     }
     return _base_row(spec, STATUS_POISON, message, elapsed, attempts,
                      tombstone=tombstone)
-
-
-def _interrupted_result(spec: JobSpec, elapsed: float,
-                        attempts: int) -> Dict:
-    return _base_row(spec, STATUS_INTERRUPTED,
-                     "run interrupted while job was in flight",
-                     elapsed, attempts, tombstone=None)
 
 
 class FarmScheduler:
@@ -166,24 +162,120 @@ class FarmScheduler:
         self.wall_seconds = 0.0
         self._strikes: Dict[str, int] = {}
         self._strike_reasons: Dict[str, List[str]] = {}
+        # (digest, id, job count) per unit, in manifest order.
+        self._units: List[Tuple[str, str, int]] = []
         # The scheduler's own span tracer (None when trace_dir is unset)
-        # and the open job spans it correlates, keyed (digest, attempt).
+        # and the open unit spans it correlates, keyed (digest, attempt).
         self._tracer = None
         self._job_spans: Dict[Tuple[str, int], int] = {}
 
+    # -- units ----------------------------------------------------------------
+    #
+    # Everything that depends on what one worker runs.  Here a unit is
+    # one job and its result is one row; StreamFarm overrides these
+    # hooks to dispatch whole shards through the same loop.
+
+    def _unit_keys(self) -> List[Tuple[str, str, int]]:
+        return [(spec.digest(), spec.id, 1) for spec in self.manifest.jobs]
+
+    def _unit_specs(self, index: int) -> Iterable[JobSpec]:
+        return (self.manifest.jobs[index],)
+
+    def _unit_rows(self, index: int, make: Callable[[JobSpec], Dict]):
+        """The parent-built result for a unit no worker finished."""
+        return make(self.manifest.jobs[index])
+
+    def _unit_label(self, index: int) -> str:
+        return "job"
+
+    def _from_cache(self, index: int) -> Optional[Dict]:
+        if not self.resume:
+            return None
+        result = self.store.get(self._units[index][0])
+        if result is None or result.get("status") not in CACHEABLE:
+            return None
+        result["cached"] = True
+        return result
+
+    def _record(self, index: int, result: Dict) -> Dict:
+        if self.store is not None and result.get("status") in CACHEABLE:
+            self.store.put(self._units[index][0], result)
+        return result
+
+    def _execute(self, index: int, tracer) -> Dict:
+        """Run one unit in this process (the serial path)."""
+        spec_dict = self.manifest.jobs[index].to_dict()
+        # tracer kwarg only when tracing: tests monkeypatch execute_job
+        # with narrower signatures.
+        if tracer is None:
+            return worker_module.execute_job(spec_dict, budget=self.budget)
+        return worker_module.execute_job(spec_dict, budget=self.budget,
+                                         tracer=tracer)
+
+    def _work(self, index: int, run_dir: str):
+        """What a forked worker runs for a unit, and where it commits.
+
+        Returns ``(spec_dict, result_path, commit, execute)``;
+        ``execute=None`` runs :func:`~repro.farm.worker.execute_job`.
+        With a store, the worker commits straight into it (the atomic
+        fsync'd write *is* the transaction — scheduler death after the
+        commit costs nothing).  Without one, results spool into the run
+        directory with the same crash-consistent write.
+        """
+        digest = self._units[index][0]
+        spec_dict = self.manifest.jobs[index].to_dict()
+        if self.store is not None:
+            path = os.path.join(self.store.directory, f"{digest}.json")
+            return (spec_dict, path,
+                    lambda result: self.store.put(digest, result), None)
+        spool = os.path.join(run_dir, "spool")
+        os.makedirs(spool, exist_ok=True)
+        path = os.path.join(spool, f"{digest}.json")
+        return (spec_dict, path,
+                lambda result: atomic_write_json(path, result), None)
+
+    def _read_result(self, index: int, path: str) -> Optional[Dict]:
+        """A worker's committed result, or None if it is torn."""
+        digest = self._units[index][0]
+        if self.store is not None:
+            return self.store.get(digest)   # drops torn entries itself
+        result = read_verified_json(path, digest=digest)
+        if result is not None:
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
+        return result
+
     # -- dispatch -------------------------------------------------------------
 
-    def run(self) -> List[Dict]:
+    def run(self):
         start = time.perf_counter()
         # Warm policy is process-wide: inline workers read it directly,
         # forked workers inherit it (and the booted templates) via COW.
         worker_module.configure_warm(self.warm)
-        results: List[Optional[Dict]] = [None] * len(self.manifest)
+        run_dir = self.run_dir or tempfile.mkdtemp(prefix="repro-farm-run-")
+        os.makedirs(run_dir, exist_ok=True)
+        try:
+            results = self._dispatch(run_dir)
+            return self._finish(results, run_dir, start)
+        finally:
+            if self.run_dir is None:
+                shutil.rmtree(run_dir, ignore_errors=True)
+
+    def _finish(self, results: List[Dict], run_dir: str,
+                start: float) -> List[Dict]:
+        for result in results:
+            result.setdefault("cached", False)
+        self.wall_seconds = time.perf_counter() - start
+        return results
+
+    def _dispatch(self, run_dir: str) -> List:
+        self._units = self._unit_keys()
+        results: List = [None] * len(self._units)
         pending: List[int] = []
         self.cached_jobs = 0
 
-        run_dir = self.run_dir or tempfile.mkdtemp(prefix="repro-farm-run-")
-        os.makedirs(run_dir, exist_ok=True)
         if self.trace_dir is not None:
             from repro.observability.flight import FlightSpool
             from repro.observability.spans import SpanTracer
@@ -192,29 +284,28 @@ class FarmScheduler:
                 self.trace_dir, f"scheduler-{os.getpid()}.jsonl")))
         journal = RunJournal(os.path.join(run_dir, "journal.jsonl"))
         if self.resume:
-            # Strike counts survive scheduler death: a poison job that
+            # Strike counts survive scheduler death: a poison unit that
             # killed two workers before the scheduler was SIGKILLed is
             # one strike from quarantine, not three.
             state = replay(journal.path)
             self._strikes = {digest: ledger.strikes
-                            for digest, ledger in state.jobs.items()
-                            if ledger.strikes}
+                             for digest, ledger in state.jobs.items()
+                             if ledger.strikes}
         journal.record("run_start", resume=self.resume,
                        workers=self.workers, jobs=len(self.manifest),
                        pid=os.getpid())
 
-        for index, spec in enumerate(self.manifest):
-            cached = self._from_cache(spec)
+        for index, (digest, unit_id, jobs) in enumerate(self._units):
+            cached = self._from_cache(index)
             if cached is not None:
-                cached["cached"] = True
                 results[index] = cached
-                self.cached_jobs += 1
-                journal.record("cached", digest=spec.digest(), id=spec.id,
+                self.cached_jobs += jobs
+                journal.record("cached", digest=digest, id=unit_id,
                                status=cached.get("status"))
-                self._trace_event("cached", spec.digest(), id=spec.id)
+                self._trace_event("cached", digest, id=unit_id)
             else:
                 pending.append(index)
-                self._trace_event("queued", spec.digest(), id=spec.id)
+                self._trace_event("queued", digest, id=unit_id)
 
         previous_sigterm = self._install_sigterm()
         try:
@@ -229,13 +320,7 @@ class FarmScheduler:
             journal.close()
             if self._tracer is not None:
                 self._tracer.close()
-            if self.run_dir is None:
-                shutil.rmtree(run_dir, ignore_errors=True)
-
-        for result in results:
-            result.setdefault("cached", False)
-        self.wall_seconds = time.perf_counter() - start
-        return results  # type: ignore[return-value]
+        return results
 
     # -- signals --------------------------------------------------------------
 
@@ -290,107 +375,51 @@ class FarmScheduler:
         return os.path.join(self.trace_dir,
                             f"worker-{digest[:12]}-a{attempt}.jsonl")
 
-    # -- cache ----------------------------------------------------------------
-
-    def _from_cache(self, spec: JobSpec) -> Optional[Dict]:
-        if not self.resume:
-            return None
-        result = self.store.get(spec.digest())
-        if result is None or result.get("status") not in CACHEABLE:
-            return None
-        return result
-
-    def _record(self, spec: JobSpec, result: Dict) -> Dict:
-        if self.store is not None and result.get("status") in CACHEABLE:
-            self.store.put(spec.digest(), result)
-        return result
-
     # -- inline (serial baseline) ---------------------------------------------
 
-    def _run_inline(self, pending: List[int],
-                    results: List[Optional[Dict]], journal: RunJournal) -> None:
-        jobs = self.manifest.jobs
+    def _run_inline(self, pending: List[int], results: List,
+                    journal: RunJournal) -> None:
         tracer = self._tracer
         for index in pending:
-            spec = jobs[index]
-            digest = spec.digest()
-            journal.record("dispatched", digest=digest, id=spec.id,
+            digest, unit_id, __ = self._units[index]
+            journal.record("dispatched", digest=digest, id=unit_id,
                            attempt=1, pid=os.getpid())
-            self._trace_begin(digest, 1, spec.id)
+            self._trace_begin(digest, 1, unit_id)
             if tracer is not None:
                 # Inline mode shares one process (and one tracer) across
                 # scheduler and worker roles; re-point the trace id so
-                # engine spans still correlate per job.
+                # engine spans still correlate per unit.
                 tracer.trace_id = digest[:12]
-            job_start = time.perf_counter()
             try:
-                # tracer kwarg only when tracing: tests monkeypatch
-                # execute_job with narrower signatures.
-                if tracer is None:
-                    result = worker_module.execute_job(spec.to_dict(),
-                                                       budget=self.budget)
-                else:
-                    result = worker_module.execute_job(spec.to_dict(),
-                                                       budget=self.budget,
-                                                       tracer=tracer)
+                result = self._execute(index, tracer)
             except KeyboardInterrupt:
-                journal.record("interrupted", digest=digest, id=spec.id,
+                journal.record("interrupted", digest=digest, id=unit_id,
                                attempt=1)
                 self.health.interrupted_jobs += 1
-                results[index] = _interrupted_result(
-                    spec, time.perf_counter() - job_start, attempts=1)
-                self._trace_end(digest, 1, status=STATUS_INTERRUPTED)
-                raise FarmInterrupted([spec.id]) from None
+                self._trace_end(digest, 1, status="interrupted")
+                raise FarmInterrupted([unit_id]) from None
             finally:
                 if tracer is not None:
                     tracer.trace_id = ""
-            results[index] = self._record(spec, result)
-            journal.record("done", digest=digest, id=spec.id, attempt=1,
+            results[index] = self._record(index, result)
+            journal.record("done", digest=digest, id=unit_id, attempt=1,
                            status=result.get("status"))
-            self._trace_event("committed", digest, id=spec.id,
+            self._trace_event("committed", digest, id=unit_id,
                               status=result.get("status"))
             self._trace_end(digest, 1, status=result.get("status"))
 
     # -- pool (fleet mode) ----------------------------------------------------
 
-    def _result_sink(self, run_dir: str, digest: str
-                     ) -> Tuple[str, Callable[[Dict], None]]:
-        """Where a worker commits its result and how the parent reads it.
-
-        With a store, the worker commits straight into it (the atomic
-        fsync'd write *is* the transaction — scheduler death after the
-        commit costs nothing).  Without one, results spool into the run
-        directory with the same crash-consistent write.
-        """
-        if self.store is not None:
-            path = os.path.join(self.store.directory, f"{digest}.json")
-            return path, (lambda result: self.store.put(digest, result))
-        spool = os.path.join(run_dir, "spool")
-        os.makedirs(spool, exist_ok=True)
-        path = os.path.join(spool, f"{digest}.json")
-        return path, (lambda result: atomic_write_json(path, result))
-
-    def _read_result(self, path: str, digest: str) -> Optional[Dict]:
-        if self.store is not None:
-            return self.store.get(digest)   # drops torn entries itself
-        result = read_verified_json(path, digest=digest)
-        if result is not None:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        return result
-
-    def _run_pool(self, pending: List[int], results: List[Optional[Dict]],
+    def _run_pool(self, pending: List[int], results: List,
                   journal: RunJournal, run_dir: str) -> None:
-        jobs = self.manifest.jobs
         if self.warm:
             # Boot one template per config in the parent *before* any
-            # fork: every per-job child then inherits the booted
-            # platform — warm TB/block/trampoline caches included —
-            # copy-on-write, and pays only reset_for_job().
+            # fork: every child then inherits the booted platform — warm
+            # TB/block/trampoline caches included — copy-on-write, and
+            # pays only reset_for_job().
             worker_module.warm_boot_templates(
-                jobs[index].config for index in pending)
+                spec.config for index in pending
+                for spec in self._unit_specs(index))
         pool = WorkerPool(hb_dir=os.path.join(run_dir, "hb"),
                           interval=self.heartbeat_interval)
         queue = deque(pending)
@@ -411,7 +440,7 @@ class FarmScheduler:
                 progressed |= self._reclaim_unhealthy(
                     pool, results, journal, retries, attempts)
                 if not progressed:
-                    time.sleep(min(self.heartbeat_interval / 4, 0.01))
+                    pool.wait(min(self.heartbeat_interval / 4, 0.01))
         except KeyboardInterrupt:
             in_flight = sorted(handle.job_id
                                for handle in pool.live.values())
@@ -420,11 +449,8 @@ class FarmScheduler:
                 journal.record("interrupted", digest=handle.digest,
                                id=handle.job_id, attempt=handle.attempt)
                 self.health.interrupted_jobs += 1
-                results[handle.index] = _interrupted_result(
-                    jobs[handle.index], handle.runtime(time.monotonic()),
-                    attempts=handle.attempt)
                 self._trace_end(handle.digest, handle.attempt,
-                                status=STATUS_INTERRUPTED)
+                                status="interrupted")
             raise FarmInterrupted(in_flight) from None
         finally:
             pool.kill_all()
@@ -432,29 +458,28 @@ class FarmScheduler:
     def _spawn_ready(self, queue, pool: WorkerPool, attempts: Dict[int, int],
                      journal: RunJournal, run_dir: str,
                      result_paths: Dict[str, str]) -> bool:
-        jobs = self.manifest.jobs
         progressed = False
         while queue and len(pool.live) < self.workers:
             index = queue.popleft()
-            spec = jobs[index]
-            digest = spec.digest()
+            digest, unit_id, __ = self._units[index]
             attempts[index] = attempts.get(index, 0) + 1
-            path, commit = self._result_sink(run_dir, digest)
+            spec_dict, path, commit, execute = self._work(index, run_dir)
             result_paths[digest] = path
-            handle = pool.spawn(spec.to_dict(), self.budget, index, digest,
-                                spec.id, attempts[index], commit,
+            handle = pool.spawn(spec_dict, self.budget, index, digest,
+                                unit_id, attempts[index], commit,
                                 spool_path=self._worker_spool(
                                     digest, attempts[index]),
                                 trace_id=digest[:12],
-                                held=self.chaos is not None)
-            journal.record("dispatched", digest=digest, id=spec.id,
+                                held=self.chaos is not None,
+                                execute=execute)
+            journal.record("dispatched", digest=digest, id=unit_id,
                            attempt=attempts[index], pid=handle.pid)
-            self._trace_begin(digest, attempts[index], spec.id)
-            self._trace_event("spawned", digest, id=spec.id,
+            self._trace_begin(digest, attempts[index], unit_id)
+            self._trace_event("spawned", digest, id=unit_id,
                               attempt=attempts[index], pid=handle.pid)
             if self.chaos is not None:
                 # The worker is held at its start gate, so the injected
-                # fault lands before the job runs, however busy the host.
+                # fault lands before the unit runs, however busy the host.
                 self.chaos.on_spawn(handle)
                 pool.release(handle)
             progressed = True
@@ -469,7 +494,7 @@ class FarmScheduler:
                 path = result_paths.get(handle.digest, "")
                 if self.chaos is not None:
                     self.chaos.on_commit(handle, path)
-                result = self._read_result(path, handle.digest)
+                result = self._read_result(handle.index, path)
                 if result is None:
                     self.health.torn_results += 1
                     self._strike(handle, "torn-result", results, journal,
@@ -519,7 +544,7 @@ class FarmScheduler:
 
     def _strike(self, handle: WorkerHandle, reason: str, results,
                 journal: RunJournal, retries, attempts) -> None:
-        spec = self.manifest.jobs[handle.index]
+        index = handle.index
         digest = handle.digest
         strikes = self._strikes.get(digest, 0) + 1
         self._strikes[digest] = strikes
@@ -534,24 +559,25 @@ class FarmScheduler:
                        strikes=strikes, instructions=last_instructions)
         elapsed = handle.runtime(time.monotonic())
         if strikes >= self.poison_threshold:
-            row = _poison_result(spec, strikes, reasons, elapsed,
-                                 attempts=handle.attempt)
-            row["tombstone"]["last_instructions"] = last_instructions
+            unit = self._unit_label(index)
+            rows = self._unit_rows(index, lambda spec: _poison_result(
+                spec, strikes, reasons, elapsed, attempts=handle.attempt,
+                unit=unit, last_instructions=last_instructions))
             journal.record("poison", digest=digest, id=handle.job_id,
                            strikes=strikes)
             self.health.poison_quarantined += 1
-            results[handle.index] = self._record(spec, row)
+            results[index] = self._record(index, rows)
             self._trace_event("quarantined", digest, id=handle.job_id,
                               strikes=strikes,
                               instructions=last_instructions)
             self._trace_end(digest, handle.attempt, status=STATUS_POISON)
         elif handle.attempt >= 1 + self.max_retries:
-            row = _lost_result(spec, reason, elapsed,
-                               attempts=handle.attempt)
             journal.record("lost", digest=digest, id=handle.job_id,
                            attempt=handle.attempt, reason=reason)
             self.health.lost_jobs += 1
-            results[handle.index] = row       # lost is never cached
+            # Lost is never cached: a resume re-runs the unit.
+            results[index] = self._unit_rows(index, lambda spec: _lost_result(
+                spec, reason, elapsed, attempts=handle.attempt))
             self._trace_event("lost", digest, id=handle.job_id,
                               reason=reason)
             self._trace_end(digest, handle.attempt, status=STATUS_LOST)
@@ -562,8 +588,7 @@ class FarmScheduler:
             journal.record("retry", digest=digest, id=handle.job_id,
                            next_attempt=handle.attempt + 1, delay=delay)
             self.health.retries += 1
-            heapq.heappush(retries, (time.monotonic() + delay,
-                                     handle.index))
+            heapq.heappush(retries, (time.monotonic() + delay, index))
             self._trace_event("retry", digest, id=handle.job_id,
                               next_attempt=handle.attempt + 1,
                               reason=reason,
@@ -571,227 +596,150 @@ class FarmScheduler:
             self._trace_end(digest, handle.attempt, status="struck")
 
 
-# Streaming (sharded) farm: how often the batched journal fsyncs, and
-# how often a shard worker stamps its heartbeat (in jobs).
-STREAM_JOURNAL_CHECKPOINT = 64
-STREAM_HEARTBEAT_JOBS = 200
+class StreamFarm(FarmScheduler):
+    """Runs a :class:`ShardedManifest`, one shard per dispatched unit.
 
+    The per-job scheduler's unit is right for minutes-long emulation
+    jobs, hopeless for a 100k-job corpus where each job is
+    sub-millisecond static analysis.  The streaming farm flips the unit
+    to the **shard** and keeps everything else:
 
-class StreamFarm:
-    """Runs a :class:`ShardedManifest` with long-lived shard workers.
-
-    The per-job scheduler forks one worker per job — right for minutes-
-    long emulation jobs, hopeless for a 100k-job corpus where each job
-    is sub-millisecond static analysis.  The streaming farm flips the
-    unit of work to the **shard**:
-
-    * workers are forked once and pull whole shards from the manifest's
-      shard iterators (static stride assignment: worker ``w`` of ``W``
-      serves pending shards ``w, w+W, ...``), streaming specs from disk
-      one at a time;
-    * each shard's results spool to a JSONL file committed by atomic
-      rename — crash anywhere and the shard either exists completely
-      (digest-addressed: the file name carries the shard's content
-      digest) or re-runs on ``resume``;
-    * the journal batches its fsync barrier
-      (``checkpoint_interval`` records) instead of paying one per job:
-      all ``shard_dispatched`` records are checkpointed *before* any
-      worker forks, so the write-ahead property holds at shard
-      granularity;
-    * a worker that dies takes only its unfinished shards with it — the
-      parent re-runs exactly the shards whose result files are missing,
-      inline, after the pool drains;
+    * a shard is one :class:`FarmScheduler` pool unit: a free slot pulls
+      the next pending shard, and heartbeats, ``deadline`` (per shard),
+      jittered retries, strikes counted across restarts, poison
+      quarantine and the SIGTERM drain all apply unchanged;
+    * the forked child (:func:`repro.farm.health.run_worker` →
+      :meth:`_shard_worker` → :func:`~repro.farm.worker.execute_shard`)
+      streams the shard's specs from disk and commits one result line
+      per job to a JSONL file by atomic rename, named for the shard's
+      content digest; the parent accepts it only if it parses to
+      exactly ``shard.jobs`` rows — anything else is a torn strike;
+    * a shard that strikes out commits one ``poison`` row per job (so a
+      resume replays the verdict); one that exhausts its retries yields
+      ``lost`` rows that are folded but never committed (so a resume
+      re-runs it); resume is shard-granular: committed files replay as
+      cached without touching a worker;
     * the merge never materializes the result set: rows stream straight
-      from the shard files through a :class:`~repro.farm.merge.MergeFold`.
+      from the shard files through a :class:`~repro.farm.merge.MergeFold`,
+      and :meth:`run` returns its :class:`~repro.farm.merge.FarmReport`.
     """
 
     def __init__(self, manifest: ShardedManifest, workers: int = 1,
                  run_dir: Optional[str] = None, resume: bool = False,
-                 budget: Optional[int] = DEFAULT_BUDGET,
-                 checkpoint_interval: int = STREAM_JOURNAL_CHECKPOINT,
-                 warm: bool = False) -> None:
-        self.manifest = manifest
-        self.workers = max(1, workers)
-        self.run_dir = run_dir
+                 budget: Optional[int] = DEFAULT_BUDGET, **options) -> None:
+        super().__init__(manifest, workers=workers, run_dir=run_dir,
+                         budget=budget, **options)
+        # The shard result files are the cache: no store needed.
         self.resume = resume
-        self.budget = budget
-        self.warm = warm
-        self.checkpoint_interval = max(1, checkpoint_interval)
-        self.health = HealthStats()
-        self.cached_jobs = 0
-        self.wall_seconds = 0.0
+        self._results_dir = ""
 
-    # -- layout ---------------------------------------------------------------
+    # -- units ----------------------------------------------------------------
 
-    def _result_name(self, index: int) -> str:
+    def _unit_keys(self) -> List[Tuple[str, str, int]]:
+        return [(shard.digest, shard.name, shard.jobs)
+                for shard in self.manifest.shards]
+
+    def _unit_specs(self, index: int) -> Iterable[JobSpec]:
+        return self.manifest.iter_shard(index)
+
+    def _unit_rows(self, index: int,
+                   make: Callable[[JobSpec], Dict]) -> List[Dict]:
+        return [make(spec) for spec in self._unit_specs(index)]
+
+    def _unit_label(self, index: int) -> str:
+        return f"shard {self.manifest.shards[index].name}"
+
+    def _result_path(self, index: int) -> str:
         shard = self.manifest.shards[index]
-        return f"{shard.name}.{shard.digest[:12]}.results.jsonl"
+        return os.path.join(self._results_dir,
+                            f"{shard.name}.{shard.digest[:12]}.results.jsonl")
 
-    def _result_path(self, results_dir: str, index: int) -> str:
-        return os.path.join(results_dir, self._result_name(index))
+    def _from_cache(self, index: int) -> Optional[Dict]:
+        if not self.resume:
+            return None
+        return self._read_result(index, self._result_path(index))
+
+    def _record(self, index: int, result):
+        if isinstance(result, list):
+            # Parent-built poison rows: commit them like a worker would,
+            # so a resume replays the verdict instead of re-running it.
+            worker_module.commit_rows(result, self._result_path(index))
+        return result
+
+    def _execute(self, index: int, tracer) -> Dict:
+        return worker_module.execute_shard(
+            (spec.to_dict() for spec in self._unit_specs(index)),
+            self._result_path(index), budget=self.budget, tracer=tracer)
+
+    def _work(self, index: int, run_dir: str):
+        return ({"shard": index}, self._result_path(index),
+                self._shard_committed, self._shard_worker)
+
+    def _shard_worker(self, unit: Dict, budget: Optional[int] = None,
+                      tracer=None) -> Dict:
+        """Body of a forked shard worker, run by ``run_worker``.
+
+        ``budget`` is the scheduler's own, already on ``self``.
+        """
+        return self._execute(unit["shard"], tracer)
+
+    @staticmethod
+    def _shard_committed(summary: Dict) -> None:
+        """The pool's commit hook: nothing is left to do, because
+        ``execute_shard`` committed the shard file by atomic rename."""
+
+    def _read_result(self, index: int, path: str) -> Optional[Dict]:
+        jobs = sum(1 for __ in _iter_jsonl(path))
+        if jobs == self.manifest.shards[index].jobs:
+            return {"jobs": jobs}
+        try:
+            os.unlink(path)     # torn: never trusted, never resumed from
+        except FileNotFoundError:
+            pass
+        return None
 
     # -- run ------------------------------------------------------------------
 
-    def run(self):
-        from repro.farm.merge import MergeFold
-
-        start = time.perf_counter()
-        # Configured before the pool forks: each long-lived shard worker
-        # boots its template lazily, once, and keeps it warm across
-        # every job it streams.
-        worker_module.configure_warm(self.warm)
-        run_dir = self.run_dir or tempfile.mkdtemp(prefix="repro-stream-")
-        results_dir = os.path.join(run_dir, "results")
-        hb_dir = os.path.join(run_dir, "hb")
-        os.makedirs(results_dir, exist_ok=True)
-        os.makedirs(hb_dir, exist_ok=True)
-        for stale in os.listdir(results_dir):
+    def _dispatch(self, run_dir: str) -> List:
+        self._results_dir = os.path.join(run_dir, "results")
+        os.makedirs(self._results_dir, exist_ok=True)
+        for stale in os.listdir(self._results_dir):
             if ".tmp." in stale:        # torn spool from a dead worker
                 try:
-                    os.unlink(os.path.join(results_dir, stale))
+                    os.unlink(os.path.join(self._results_dir, stale))
                 except OSError:
                     pass
+        return super()._dispatch(run_dir)
 
-        journal = RunJournal(os.path.join(run_dir, "journal.jsonl"),
-                             checkpoint_interval=self.checkpoint_interval)
-        shard_count = self.manifest.shard_count
-        journal.record("run_start", mode="stream", resume=self.resume,
-                       workers=self.workers, shards=shard_count,
-                       jobs=len(self.manifest), pid=os.getpid())
+    def _run_pool(self, pending: List[int], results: List,
+                  journal: RunJournal, run_dir: str) -> None:
+        # Import the corpus analysis once, before the first fork: every
+        # shard child would otherwise import it again (~10 ms each).
+        import repro.corpus.study  # noqa: F401
+        super()._run_pool(pending, results, journal, run_dir)
 
-        pending: List[int] = []
-        self.cached_jobs = 0
-        for index in range(shard_count):
-            if self.resume and \
-                    os.path.exists(self._result_path(results_dir, index)):
-                self.cached_jobs += self.manifest.shards[index].jobs
-                journal.record("shard_cached",
-                               shard=self.manifest.shards[index].name)
-            else:
-                pending.append(index)
-                journal.record("shard_dispatched",
-                               shard=self.manifest.shards[index].name,
-                               jobs=self.manifest.shards[index].jobs)
-        # Write-ahead at shard granularity: every dispatch record is
-        # durable before any worker starts.
-        journal.checkpoint()
-
-        try:
-            if pending:
-                if self.workers == 1:
-                    self._run_inline(pending, results_dir, journal)
-                else:
-                    self._run_pool(pending, results_dir, hb_dir, journal)
-            journal.record("run_end", shards=shard_count)
-        finally:
-            journal.close()
+    def _finish(self, results: List, run_dir: str, start: float):
+        from repro.farm.merge import MergeFold
 
         fold = MergeFold(rows_path=os.path.join(run_dir, "rows.jsonl"))
-        for index in range(shard_count):
-            for result in _iter_jsonl(self._result_path(results_dir, index)):
-                result.setdefault("cached", False)
-                fold.add(result)
+        for index, result in enumerate(results):
+            rows = result if isinstance(result, list) \
+                else _iter_jsonl(self._result_path(index))
+            for row in rows:
+                row.setdefault("cached", False)
+                fold.add(row)
         self.wall_seconds = time.perf_counter() - start
         report = fold.finish(workers=self.workers,
                              wall_seconds=self.wall_seconds,
                              cached_jobs=self.cached_jobs,
                              health=self.health.summary())
         if self.run_dir is None:
-            shutil.rmtree(run_dir, ignore_errors=True)
             report.rows_path = None
         return report
 
-    # -- serial ---------------------------------------------------------------
-
-    def _run_inline(self, pending: List[int], results_dir: str,
-                    journal: RunJournal) -> None:
-        for index in pending:
-            summary = worker_module.execute_shard(
-                (spec.to_dict() for spec in self.manifest.iter_shard(index)),
-                self._result_path(results_dir, index), budget=self.budget)
-            journal.record("shard_done",
-                           shard=self.manifest.shards[index].name,
-                           jobs=summary["jobs"])
-
-    # -- pool -----------------------------------------------------------------
-
-    def _shard_worker(self, worker_index: int, pending: List[int],
-                      results_dir: str, hb_dir: str) -> None:
-        """Body of one long-lived forked shard worker."""
-        hb_path = os.path.join(hb_dir, f"stream-worker-{worker_index}")
-        for position, index in enumerate(pending):
-            if position % self.workers != worker_index:
-                continue
-            shard = self.manifest.shards[index]
-            stamp_heartbeat(hb_path, shard.name)
-
-            def progress(jobs_done: int, name=shard.name) -> None:
-                if jobs_done % STREAM_HEARTBEAT_JOBS == 0:
-                    stamp_heartbeat(hb_path, name, jobs_done)
-
-            worker_module.execute_shard(
-                (spec.to_dict() for spec in self.manifest.iter_shard(index)),
-                self._result_path(results_dir, index),
-                budget=self.budget, progress=progress)
-
-    def _run_pool(self, pending: List[int], results_dir: str,
-                  hb_dir: str, journal: RunJournal) -> None:
-        pids: List[int] = []
-        try:
-            for worker_index in range(self.workers):
-                pid = os.fork()
-                if pid == 0:
-                    code = 1
-                    try:
-                        self._shard_worker(worker_index, pending,
-                                           results_dir, hb_dir)
-                        code = 0
-                    except BaseException:
-                        code = 1
-                    finally:
-                        os._exit(code)
-                pids.append(pid)
-            for pid in pids:
-                try:
-                    __, raw = os.waitpid(pid, 0)
-                except ChildProcessError:  # pragma: no cover
-                    raw = 1 << 8
-                if raw != 0:
-                    self.health.worker_deaths += 1
-        except KeyboardInterrupt:
-            for pid in pids:
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                except (ProcessLookupError, ChildProcessError):
-                    pass
-            missing = [self.manifest.shards[i].name for i in pending
-                       if not os.path.exists(
-                           self._result_path(results_dir, i))]
-            for name in missing:
-                journal.record("interrupted", shard=name)
-            raise FarmInterrupted(missing) from None
-        # Reclaim: any shard whose result never committed (its worker
-        # died mid-shard) re-runs inline — the atomic rename guarantees
-        # nothing partial survived.
-        for index in pending:
-            path = self._result_path(results_dir, index)
-            if os.path.exists(path):
-                journal.record("shard_done",
-                               shard=self.manifest.shards[index].name,
-                               jobs=self.manifest.shards[index].jobs)
-                continue
-            self.health.retries += 1
-            summary = worker_module.execute_shard(
-                (spec.to_dict() for spec in self.manifest.iter_shard(index)),
-                path, budget=self.budget)
-            journal.record("shard_reclaimed",
-                           shard=self.manifest.shards[index].name,
-                           jobs=summary["jobs"])
-
 
 def _iter_jsonl(path: str):
-    """Yield result dicts from one shard spool, tolerating a torn line."""
+    """Yield result dicts from one shard spool, skipping a torn line."""
     try:
         handle = open(path)
     except FileNotFoundError:
@@ -803,7 +751,7 @@ def _iter_jsonl(path: str):
                 continue
             try:
                 row = json.loads(line)
-            except ValueError:  # pragma: no cover - files commit whole
+            except ValueError:
                 continue
             if isinstance(row, dict):
                 yield row
@@ -814,22 +762,15 @@ def run_farm(manifest, workers: int = 1,
              budget: Optional[int] = DEFAULT_BUDGET, **scheduler_options):
     """Convenience wrapper: schedule, run, merge; returns a FarmReport.
 
-    A :class:`ShardedManifest` routes to the streaming farm (the store
-    is unused there — shard result files are the cache); a list-shaped
-    :class:`Manifest` takes the per-job fault-tolerant path.
+    A :class:`ShardedManifest` runs on :class:`StreamFarm` (the store is
+    unused there — shard result files are the cache); a list-shaped
+    :class:`Manifest` runs one job per unit.
     """
     from repro.farm.merge import merge_results
 
     if isinstance(manifest, ShardedManifest):
-        run_dir = scheduler_options.pop("run_dir", None)
-        checkpoint = scheduler_options.pop("checkpoint_interval",
-                                           STREAM_JOURNAL_CHECKPOINT)
-        warm = scheduler_options.pop("warm", False)
-        farm = StreamFarm(manifest, workers=workers, run_dir=run_dir,
-                          resume=resume, budget=budget,
-                          checkpoint_interval=checkpoint, warm=warm)
-        return farm.run()
-
+        return StreamFarm(manifest, workers=workers, resume=resume,
+                          budget=budget, **scheduler_options).run()
     scheduler = FarmScheduler(manifest, workers=workers, store=store,
                               resume=resume, budget=budget,
                               **scheduler_options)

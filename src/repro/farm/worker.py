@@ -73,9 +73,8 @@ def _boot_platform(spec: JobSpec, ctx):
     if tracer is None and not spec.trace and WARM["enabled"]:
         platform = WARM["templates"].get(spec.config)
         if platform is None:
-            # A long-lived forked worker boots its template lazily (the
-            # pool scheduler pre-boots before forking; this is the
-            # fallback for workers forked before configure_warm ran jobs).
+            # The serial path boots its template lazily, once (the
+            # pool pre-boots every template before it forks).
             warm_boot_templates([spec.config])
             platform = WARM["templates"][spec.config]
         platform.reset_for_job()
@@ -250,19 +249,13 @@ def _emit_cache_counters(tracer) -> None:
         tracer.counter("tbc.misses", tbc.misses, cat="engine")
 
 
-def execute_shard(spec_dicts, out_path: str,
-                  budget: Optional[int] = DEFAULT_BUDGET,
-                  progress=None) -> Dict:
-    """Run a shard's jobs, spooling one result line per job to disk.
+def commit_rows(rows, out_path: str) -> Dict:
+    """Spool result rows to ``out_path`` as JSONL, committed atomically.
 
-    The shard is the streaming farm's unit of commitment: results append
-    to a temp JSONL file as they finish (one dict in memory at a time)
-    and the whole file is fsync'd and renamed into place at the end —
-    either the shard's results exist completely or the shard re-runs.
-    Returns a small summary (never the results themselves).
-
-    ``progress``, if given, is called with the running job count after
-    every job — the heartbeat hook for long shards.
+    Rows append to a temp file as they arrive (one dict in memory at a
+    time), then the whole file is fsync'd and renamed into place —
+    either the file exists completely or not at all.  Returns a small
+    summary (never the rows themselves).
     """
     import json as json_module
 
@@ -272,19 +265,32 @@ def execute_shard(spec_dicts, out_path: str,
     outcomes: Dict[str, int] = {}
     jobs = 0
     with open(temp, "w") as handle:
-        for spec_dict in spec_dicts:
-            result = execute_job(spec_dict, budget=budget)
-            handle.write(json_module.dumps(result) + "\n")
-            status = result.get("status", "lost")
+        for row in rows:
+            handle.write(json_module.dumps(row) + "\n")
+            status = row.get("status", "lost")
             outcomes[status] = outcomes.get(status, 0) + 1
             jobs += 1
-            if progress is not None:
-                progress(jobs)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(temp, out_path)
     fsync_directory(os.path.dirname(out_path) or ".")
     return {"jobs": jobs, "outcomes": outcomes}
+
+
+def execute_shard(spec_dicts, out_path: str,
+                  budget: Optional[int] = DEFAULT_BUDGET,
+                  tracer=None) -> Dict:
+    """Run a shard's jobs and commit one result line per job.
+
+    The shard is the streaming farm's unit of commitment: see
+    :func:`commit_rows` — either the shard's results exist completely
+    or the shard re-runs.
+    """
+    # tracer kwarg only when tracing: tests monkeypatch execute_job
+    # with narrower signatures.
+    traced = {} if tracer is None else {"tracer": tracer}
+    return commit_rows((execute_job(spec_dict, budget=budget, **traced)
+                        for spec_dict in spec_dicts), out_path)
 
 
 def execute_job(spec_dict: Dict, budget: Optional[int] = DEFAULT_BUDGET,

@@ -67,6 +67,40 @@ class TestSpawnReap:
         (__, status), = wait_reap(pool)
         assert status == 1
 
+    def test_wait_wakes_when_a_worker_exits(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(worker_module, "execute_job",
+                            lambda spec_dict, budget=None: time.sleep(30))
+        pool = make_pool(tmp_path)
+        handle = spawn(pool)
+        start = time.monotonic()
+        pool.wait(0.2)                 # the worker is busy: full timeout
+        assert time.monotonic() - start >= 0.2
+        os.kill(handle.pid, signal.SIGKILL)
+        start = time.monotonic()
+        pool.wait(30.0)                # the exit wakes it at once
+        assert time.monotonic() - start < 10.0
+        (__, status), = pool.reap()
+        assert status == -signal.SIGKILL
+        assert handle.pidfd is None    # closed with the reap
+
+    def test_execute_replaces_the_job_body(self, tmp_path):
+        out = str(tmp_path / "committed.json")
+
+        def execute(spec_dict, budget=None):
+            return {"unit": spec_dict["shard"], "budget": budget}
+
+        def commit(result):
+            with open(out, "w") as handle:
+                handle.write(f"{result['unit']} {result['budget']}")
+
+        pool = make_pool(tmp_path)
+        pool.spawn({"shard": 3}, 7, 0, DIGEST, "shard-3", 1, commit,
+                   execute=execute)
+        (__, status), = wait_reap(pool)
+        assert status == 0
+        with open(out) as committed:
+            assert committed.read() == "3 7"
+
     def test_signal_death_reports_negative_signum(self, tmp_path,
                                                   monkeypatch):
         monkeypatch.setattr(worker_module, "execute_job",
