@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro.bench import CFBench
+from repro.bench.cfbench import CFBench
 from repro.core import NDroid
 from repro.framework import AndroidPlatform
 

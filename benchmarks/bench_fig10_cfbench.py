@@ -17,8 +17,8 @@ below encode the paper's qualitative result:
 
 import pytest
 
-from repro.bench import CFBench, OverheadHarness, WORKLOADS
-from repro.bench.harness import CONFIGS, make_platform
+from repro.bench.cfbench import CFBench, WORKLOADS
+from repro.bench.harness import CONFIGS, OverheadHarness, make_platform
 
 ITERATIONS = 200
 

@@ -19,7 +19,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.bench import OverheadHarness
+from repro.bench.harness import OverheadHarness
 
 
 def main():

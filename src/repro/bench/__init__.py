@@ -9,25 +9,8 @@ original benchmark APK.
 :mod:`harness` runs the suite under each configuration (vanilla,
 TaintDroid, TaintDroid+NDroid, DroidScope-sim) and computes per-workload
 slowdown ratios against the vanilla platform.
+
+The package itself imports nothing: farm workers reach
+``repro.bench.harness.make_platform`` on every cold job, and must not pay
+for the emulator bench to get it.  Import the submodules directly.
 """
-
-from repro.bench.cfbench import CFBench, WORKLOADS, WorkloadResult
-from repro.bench.emulator_bench import (
-    EmulatorBench,
-    compare_to_baseline,
-    load_results,
-    write_results,
-)
-from repro.bench.harness import OverheadHarness, OverheadTable
-
-__all__ = [
-    "CFBench",
-    "WORKLOADS",
-    "WorkloadResult",
-    "EmulatorBench",
-    "compare_to_baseline",
-    "load_results",
-    "write_results",
-    "OverheadHarness",
-    "OverheadTable",
-]

@@ -7,7 +7,6 @@ aggregated Native/Java/Overall rows of Fig. 10.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 

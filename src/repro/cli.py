@@ -270,7 +270,7 @@ def _command_corpus(scale: float, seed: int) -> int:
 
 
 def _command_bench(iterations: int, repeats: int) -> int:
-    from repro.bench import OverheadHarness
+    from repro.bench.harness import OverheadHarness
     harness = OverheadHarness(iterations=iterations, repeats=repeats)
     for table in harness.compare_all().values():
         print(table.format())

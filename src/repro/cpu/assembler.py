@@ -45,6 +45,14 @@ _DP_OPS = {
 _SHIFT_NAMES = {"lsl": ShiftType.LSL, "lsr": ShiftType.LSR,
                 "asr": ShiftType.ASR, "ror": ShiftType.ROR}
 
+# Compiled at import, which happens before a farm forks: a forked worker
+# that assembles would otherwise compile each pattern again.
+_LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):\s*")
+_MNEMONIC_RE = re.compile(r"^(\S+)\s*(.*)$")
+_SYMBOL_OFFSET_RE = re.compile(r"^([A-Za-z_.$][\w.$]*)\s*([+-]\s*\d+)?$")
+_SHIFT_RE = re.compile(r"^(lsl|lsr|asr|ror|rrx)\b")
+_REGISTER_RE = re.compile(r"^r(\d+)$")
+
 # Base mnemonics, longest first so suffix stripping is unambiguous.
 _BASES = sorted(
     list(_DP_OPS) + list(_SHIFT_NAMES) + [
@@ -159,7 +167,7 @@ class Assembler:
             if not line:
                 continue
             while True:
-                match = re.match(r"^([A-Za-z_.$][\w.$]*):\s*", line)
+                match = _LABEL_RE.match(line)
                 if not match:
                     break
                 label = match.group(1)
@@ -246,7 +254,7 @@ class Assembler:
 
     def _parse_instruction(self, line: str, lineno: int,
                            thumb: bool) -> _Statement:
-        match = re.match(r"^(\S+)\s*(.*)$", line)
+        match = _MNEMONIC_RE.match(line)
         word, operands = match.group(1).lower(), match.group(2).strip()
         base, cond, set_flags = _split_mnemonic(word, lineno)
         statement = _Statement(kind="insn", mnemonic=base, cond=cond,
@@ -323,7 +331,7 @@ class Assembler:
         except AssemblerError:
             pass
         # Simple symbol+offset arithmetic: name, name+4, name-8.
-        match = re.match(r"^([A-Za-z_.$][\w.$]*)\s*([+-]\s*\d+)?$", text)
+        match = _SYMBOL_OFFSET_RE.match(text)
         if match and match.group(1) in symbols:
             offset = int(match.group(2).replace(" ", "")) if match.group(2) else 0
             return symbols[match.group(1)] + offset
@@ -870,7 +878,7 @@ def _split_operands(text: str) -> List[str]:
         lowered = part.lower()
         if merged and (lowered.startswith(tuple(_SHIFT_NAMES)) or
                        lowered == "rrx") and \
-                re.match(r"^(lsl|lsr|asr|ror|rrx)\b", lowered):
+                _SHIFT_RE.match(lowered):
             merged[-1] = merged[-1]  # keep register part
             merged.append(part)
         else:
@@ -889,7 +897,7 @@ def _parse_reg_or_none(text: str) -> Optional[int]:
     text = text.strip().lower().rstrip("!")
     if text in _REGISTER_ALIASES:
         return _REGISTER_ALIASES[text]
-    match = re.match(r"^r(\d+)$", text)
+    match = _REGISTER_RE.match(text)
     if match and 0 <= int(match.group(1)) <= 15:
         return int(match.group(1))
     return None

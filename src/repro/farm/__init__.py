@@ -33,8 +33,10 @@ Layers::
     FarmScheduler (scheduler.py)  dispatch -> retry/quarantine -> collect
     StreamFarm (scheduler.py)  the same loop, one shard per unit
     execute_job (worker.py)  one supervised job, JSON-able result
+    preload (worker.py)      import a job kind's modules in the parent
     execute_shard (worker.py)  a shard's jobs, one atomic JSONL commit
-    WorkerPool (health.py)   fork, heartbeat, hung-vs-dead, reclaim
+    WorkerPool (health.py)   fork (heap frozen), heartbeat, hung-vs-dead,
+                             reclaim
     RunJournal (journal.py)  crash-consistent WAL of unit transitions
     ResultStore (store.py)   digest-addressed fsync'd result cache
     ChaosMonkey (chaos.py)   deterministic fault injection + harness

@@ -28,6 +28,7 @@ merged farm report and the observability metrics registry.
 
 from __future__ import annotations
 
+import gc
 import os
 import select
 import signal
@@ -231,7 +232,16 @@ class WorkerPool:
         gate_read = gate_write = None
         if held:
             gate_read, gate_write = os.pipe()
-        pid = os.fork()
+        # Freeze the heap the child inherits, so its collections walk
+        # only what it allocates.  A full collection over a large
+        # parent's heap copies on write every page it touches and holds
+        # the GIL, heartbeat thread included, for its whole pause.
+        gc.freeze()
+        try:
+            pid = os.fork()
+        except OSError:
+            gc.unfreeze()
+            raise
         if pid == 0:
             code = 1
             try:
@@ -251,6 +261,7 @@ class WorkerPool:
                 # Skip every parent-inherited atexit/teardown path: the
                 # child must vanish without flushing shared state.
                 os._exit(code)
+        gc.unfreeze()
         handle = WorkerHandle(pid=pid, index=index, digest=digest,
                               job_id=job_id, attempt=attempt,
                               hb_path=hb_path,

@@ -426,15 +426,17 @@ class FarmScheduler:
         retries: List = []              # heap of (eligible_monotonic, index)
         attempts: Dict[int, int] = {}
         result_paths: Dict[str, str] = {}
+        preloaded: set = set()          # job kinds imported in this process
         try:
             while queue or retries or pool.live:
                 now = time.monotonic()
                 while retries and retries[0][0] <= now:
                     __, index = heapq.heappop(retries)
                     queue.append(index)
-                progressed = self._spawn_ready(queue, pool, attempts,
-                                               journal, run_dir,
-                                               result_paths)
+                spawned = self._spawn_ready(queue, pool, attempts, journal,
+                                            run_dir, result_paths)
+                self._preload(spawned, preloaded)
+                progressed = bool(spawned)
                 progressed |= self._collect(pool, results, journal,
                                             retries, attempts, result_paths)
                 progressed |= self._reclaim_unhealthy(
@@ -457,8 +459,9 @@ class FarmScheduler:
 
     def _spawn_ready(self, queue, pool: WorkerPool, attempts: Dict[int, int],
                      journal: RunJournal, run_dir: str,
-                     result_paths: Dict[str, str]) -> bool:
-        progressed = False
+                     result_paths: Dict[str, str]) -> List[int]:
+        """Fill the free slots from ``queue``; returns the units spawned."""
+        spawned: List[int] = []
         while queue and len(pool.live) < self.workers:
             index = queue.popleft()
             digest, unit_id, __ = self._units[index]
@@ -482,8 +485,23 @@ class FarmScheduler:
                 # fault lands before the unit runs, however busy the host.
                 self.chaos.on_spawn(handle)
                 pool.release(handle)
-            progressed = True
-        return progressed
+            spawned.append(index)
+        return spawned
+
+    def _preload(self, spawned: List[int], preloaded: set) -> None:
+        """Import each newly dispatched job kind's modules, once.
+
+        The parent is the farm's zygote: every fork after this inherits
+        the modules already executed, so only the first wave of each
+        kind imports them in the child.  Only ever called after a spawn
+        pass, so no unit waits on these imports to start.
+        """
+        for index in spawned:
+            # A shard's first spec names its kind: never read a whole shard.
+            spec = next(iter(self._unit_specs(index)), None)
+            if spec is not None and spec.kind not in preloaded:
+                preloaded.add(spec.kind)
+                worker_module.preload(spec.kind)
 
     def _collect(self, pool: WorkerPool, results, journal: RunJournal,
                  retries, attempts, result_paths) -> bool:
@@ -710,13 +728,6 @@ class StreamFarm(FarmScheduler):
                 except OSError:
                     pass
         return super()._dispatch(run_dir)
-
-    def _run_pool(self, pending: List[int], results: List,
-                  journal: RunJournal, run_dir: str) -> None:
-        # Import the corpus analysis once, before the first fork: every
-        # shard child would otherwise import it again (~10 ms each).
-        import repro.corpus.study  # noqa: F401
-        super()._run_pool(pending, results, journal, run_dir)
 
     def _finish(self, results: List, run_dir: str, start: float):
         from repro.farm.merge import MergeFold

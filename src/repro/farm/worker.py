@@ -12,6 +12,7 @@ pool never loses a worker to one hostile job.
 
 from __future__ import annotations
 
+import importlib
 import io
 import os
 import time
@@ -227,8 +228,31 @@ def _analyze_corpus_chunk(spec: JobSpec, ctx) -> Dict:
             counts["corpus.type3"] > 0}
 
 
-_ANALYSES = {"scenario": _analyze_scenario, "market": _analyze_market,
-             "corpus": _analyze_corpus_chunk}
+# Job kind -> (analysis, the modules it imports lazily).  The imports stay
+# lazy so the CLI and the serial path never pay for kinds they do not
+# run; :func:`preload` lets the pool parent pay for them once instead of
+# once per forked child.
+_PLATFORM_MODULES = ("repro.bench.harness", "repro.dalvik.tbc")
+_ANALYSES = {
+    "scenario": (_analyze_scenario,
+                 ("repro.apps", "repro.apps.base") + _PLATFORM_MODULES),
+    "market": (_analyze_market,
+               ("repro.apps.market", "repro.framework.monkey")
+               + _PLATFORM_MODULES),
+    "corpus": (_analyze_corpus_chunk,
+               ("repro.corpus.generator", "repro.corpus.study")),
+}
+
+
+def preload(kind: str) -> None:
+    """Import a job kind's analysis modules into this process.
+
+    The pool calls this in the parent so that every later fork inherits
+    the modules already executed, and a cold child pays only for its
+    own job (the Zygote pattern).
+    """
+    for name in _ANALYSES[kind][1]:
+        importlib.import_module(name)
 
 
 def _emit_cache_counters(tracer) -> None:
@@ -301,7 +325,7 @@ def execute_job(spec_dict: Dict, budget: Optional[int] = DEFAULT_BUDGET,
 
     spec = JobSpec.from_dict(spec_dict)
     plan = FaultPlan.parse(spec.faults) if spec.faults else None
-    analyze = _ANALYSES[spec.kind]
+    analyze = _ANALYSES[spec.kind][0]
 
     LIVE["platform"] = None
     LIVE["tracer"] = tracer

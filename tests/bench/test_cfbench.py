@@ -1,15 +1,21 @@
 """CF-Bench suite and overhead-harness tests."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
-from repro.bench import CFBench, OverheadHarness, WORKLOADS
 from repro.bench.cfbench import (
     JAVA_WORKLOADS,
     NATIVE_WORKLOADS,
+    WORKLOADS,
+    CFBench,
     WorkloadResult,
     geometric_mean,
 )
-from repro.bench.harness import make_platform
+from repro.bench.harness import OverheadHarness, make_platform
 
 
 class TestWorkloads:
@@ -99,3 +105,22 @@ class TestOverheadHarness:
         assert "NDroid" in text
         assert "native_mips" in text
         assert "Overall Score" in text
+
+
+class TestHarnessImports:
+    def test_harness_loads_no_other_bench_and_no_statistics(self):
+        # Cold farm workers import the harness for make_platform on
+        # every job; the package must not drag the other benches along.
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.dirname(os.path.abspath(__file__)))), "src")
+        script = ("import json, sys\n"
+                  "import repro.bench.harness\n"
+                  "print(json.dumps(sorted(sys.modules)))\n")
+        done = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              stdout=subprocess.PIPE, text=True, timeout=120)
+        assert done.returncode == 0
+        modules = set(json.loads(done.stdout))
+        assert "repro.bench.harness" in modules
+        assert "statistics" not in modules
+        assert "repro.bench.emulator_bench" not in modules

@@ -1,5 +1,6 @@
 """Worker pool health: fork/reap, heartbeats, hung-vs-dead, reclaim."""
 
+import gc
 import os
 import signal
 import time
@@ -100,6 +101,27 @@ class TestSpawnReap:
         assert status == 0
         with open(out) as committed:
             assert committed.read() == "3 7"
+
+    def test_child_inherits_a_frozen_heap(self, tmp_path):
+        # The child's collections never walk the parent's objects; the
+        # parent's own heap is unfrozen again by the time spawn returns.
+        out = str(tmp_path / "frozen")
+
+        def execute(spec_dict, budget=None):
+            return {"frozen": gc.get_freeze_count()}
+
+        def commit(result):
+            with open(out, "w") as handle:
+                handle.write(str(result["frozen"]))
+
+        pool = make_pool(tmp_path)
+        pool.spawn(SPEC, None, 0, DIGEST, SPEC["id"], 1, commit,
+                   execute=execute)
+        assert gc.get_freeze_count() == 0
+        (__, status), = wait_reap(pool)
+        assert status == 0
+        with open(out) as committed:
+            assert int(committed.read()) > 0
 
     def test_signal_death_reports_negative_signum(self, tmp_path,
                                                   monkeypatch):
