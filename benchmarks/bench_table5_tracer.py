@@ -1,12 +1,9 @@
 """Table V — ARM/Thumb taint-propagation throughput.
 
 Benchmarks the instruction tracer over a representative third-party loop
-(data processing, loads/stores, load/store-multiple), with and without the
-hot-handler cache the paper describes ("NDroid caches hot instructions and
-the corresponding handlers").
+(data processing, loads/stores, load/store-multiple) against the same loop
+untraced.
 """
-
-import pytest
 
 from repro.core.instruction_tracer import InstructionTracer
 from repro.core.taint_engine import TaintEngine
@@ -39,7 +36,7 @@ buffer:
 """
 
 
-def build(handler_cache):
+def build():
     emu = Emulator()
     program = assemble(LOOP, base=CODE_BASE)
     emu.load(CODE_BASE, program.code)
@@ -47,16 +44,13 @@ def build(handler_cache):
     emu.cpu.sp = 0x0800_0000
     engine = TaintEngine()
     tracer = InstructionTracer(engine,
-                               is_third_party=emu.memory_map.is_third_party,
-                               handler_cache=handler_cache)
+                               is_third_party=emu.memory_map.is_third_party)
     emu.add_tracer(tracer)
     return emu, program, tracer
 
 
-@pytest.mark.parametrize("cache", [True, False],
-                         ids=["hot-cache", "no-cache"])
-def test_benchmark_tracer(benchmark, cache):
-    emu, program, tracer = build(cache)
+def test_benchmark_tracer(benchmark):
+    emu, program, tracer = build()
     entry = program.entry("main")
 
     def run():
@@ -64,8 +58,6 @@ def test_benchmark_tracer(benchmark, cache):
 
     benchmark.pedantic(run, rounds=5, iterations=1)
     assert tracer.traced_instructions > 0
-    if cache:
-        assert tracer.cache_hits > tracer.traced_instructions * 0.9
 
 
 def test_benchmark_untraced_baseline(benchmark):

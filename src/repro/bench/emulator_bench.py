@@ -43,7 +43,7 @@ PARITY_SCENARIOS = (
 )
 
 # Speedup may drift this much below the committed baseline before the
-# regression gate fails (the CI smoke job's threshold).
+# regression gate fails (the benchmark smoke gate's threshold).
 DEFAULT_TOLERANCE = 0.30
 
 # The instrumented workloads (a live Table V tracer attached) must keep

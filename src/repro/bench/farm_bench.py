@@ -1,12 +1,9 @@
-"""The farm scaling benchmark: serial vs parallel vs resumed.
+"""The farm scaling benchmark: serial vs parallel, warm vs cold.
 
-Runs the built-in corpus three times over the same result store:
+Runs the built-in corpus twice, each into a fresh result store:
 
-1. **serial** — ``workers=1``, cold cache: the baseline wall clock;
-2. **parallel** — ``workers=N``, cold cache (fresh store): the
-   multiprocess wall clock;
-3. **resumed** — ``workers=N`` again over the parallel run's store:
-   every digest hits, measuring the near-free re-run property.
+1. **serial** — ``workers=1``: the baseline wall clock;
+2. **parallel** — ``workers=N``: the multiprocess wall clock.
 
 Besides the timings it records the machine's CPU count (a 4-worker farm
 cannot beat serial on a single-core host — the recorded ``cpus`` field
@@ -14,30 +11,22 @@ keeps the numbers honest) and a per-app parity check: the serial and
 parallel runs must report identical per-job leak/sink counts, since the
 merge is pure aggregation.
 
-Since schema 2 the bench also runs the **chaos recovery drill**
-(:func:`repro.farm.chaos.run_chaos_harness`) with a fixed seed over a
-scenario slice of the manifest and records the verdict: the recovery
-invariants (no lost jobs, no duplicates, store verifies, poison
-quarantined exactly once, parity with the clean serial baseline) become
-regression-checkable numbers alongside the speedups.
-
-Schema 3 adds the **paper-scale scaling curve** (:class:`ScalingBench`):
-a streamed synthetic corpus — 10k chunk-classification jobs covering
-100k records by default — run through the streaming farm at 1/2/4/8
+The **paper-scale scaling curve** (:class:`ScalingBench`) runs a
+streamed synthetic corpus — 10k chunk-classification jobs covering
+100k records by default — through the streaming farm at 1/2/4/8
 workers, recording per-count wall clock, jobs/sec, and speedup vs the
 serial baseline, plus the stratum-marginals check against the
 apportionment plan and the peak RSS that certifies the bounded-memory
 property.  On a single-core host the parallel≥serial verdict is
 recorded as ``null`` with a skip notice instead of a dishonest number.
 
-Schema 4 adds the **warm-vs-cold drill** (:class:`WarmBench`): a
-repeated-library manifest (every scenario, twice) executed two ways —
-cold (a full platform per job) and warm (one booted template reset per
-job via ``Platform.reset_for_job()``).  Per job it records boot wall
-clock plus in-run translation seconds; the gate requires warm boot +
-translate per job to beat cold by at least
-:data:`WARM_SPEEDUP_GATE` (2x), with taint parity identical across both
-modes for every scenario.  Schema 5 reports only these two modes.
+The **warm-vs-cold drill** (:class:`WarmBench`) runs a repeated-library
+manifest (every scenario, twice) two ways — cold (a full platform per
+job) and warm (one booted template reset per job via
+``Platform.reset_for_job()``).  Per job it records boot wall clock plus
+in-run translation seconds; the gate requires warm boot + translate per
+job to beat cold by at least :data:`WARM_SPEEDUP_GATE` (2x), with taint
+parity identical across both modes for every scenario.
 """
 
 from __future__ import annotations
@@ -53,13 +42,7 @@ from repro.farm.merge import merge_results, sink_counts
 from repro.farm.scheduler import FarmScheduler
 from repro.farm.store import ResultStore
 
-BENCH_SCHEMA_VERSION = 5
-
-# Fixed drill seed: the injected fault schedule is part of the recorded
-# result, so two bench runs disagree only if recovery itself changed.
-DEFAULT_CHAOS_SEED = 20260808
-CHAOS_SLICE = 6         # scenario jobs in the drill manifest (keeps the
-                        # subprocess kill/resume cycle a few seconds)
+BENCH_SCHEMA_VERSION = 6
 
 
 def _parity_row(result: Dict) -> Dict:
@@ -71,39 +54,29 @@ def _parity_row(result: Dict) -> Dict:
 class FarmBench:
     """Measures farm wall clocks and validates serial/parallel parity."""
 
-    def __init__(self, workers: int = 4, manifest: Manifest = None,
-                 chaos_seed: Optional[int] = DEFAULT_CHAOS_SEED) -> None:
+    def __init__(self, workers: int = 4, manifest: Manifest = None) -> None:
         self.workers = max(2, workers)
         self.manifest = manifest if manifest is not None \
             else Manifest.builtin()
-        self.chaos_seed = chaos_seed    # None skips the recovery drill
 
-    def _measure(self, workers: int, store: ResultStore,
-                 resume: bool) -> Dict:
+    def _measure(self, workers: int, store: ResultStore) -> Dict:
         scheduler = FarmScheduler(self.manifest, workers=workers,
-                                  store=store, resume=resume)
+                                  store=store)
         results = scheduler.run()
-        report = merge_results(results, workers=workers,
-                               wall_seconds=scheduler.wall_seconds,
-                               cached_jobs=scheduler.cached_jobs)
         return {
             "workers": workers,
             "wall_seconds": scheduler.wall_seconds,
             "jobs": len(results),
-            "cached_jobs": scheduler.cached_jobs,
-            "outcomes": report.outcomes,
+            "outcomes": merge_results(results).outcomes,
             "results": results,
         }
 
     def run(self) -> Dict:
         with tempfile.TemporaryDirectory() as scratch:
             serial = self._measure(1, ResultStore(
-                os.path.join(scratch, "serial")), resume=False)
-            parallel_store = ResultStore(os.path.join(scratch, "parallel"))
-            parallel = self._measure(self.workers, parallel_store,
-                                     resume=False)
-            resumed = self._measure(self.workers, parallel_store,
-                                    resume=True)
+                os.path.join(scratch, "serial")))
+            parallel = self._measure(self.workers, ResultStore(
+                os.path.join(scratch, "parallel")))
 
         apps = {}
         identical = True
@@ -124,42 +97,11 @@ class FarmBench:
         return {
             "schema": BENCH_SCHEMA_VERSION,
             "cpus": os.cpu_count() or 1,
-            "runs": {"serial": strip(serial), "parallel": strip(parallel),
-                     "resumed": strip(resumed)},
+            "runs": {"serial": strip(serial), "parallel": strip(parallel)},
             "speedup": (serial_wall / parallel["wall_seconds"]
                         if parallel["wall_seconds"] else 0.0),
-            "resume_speedup": (serial_wall / resumed["wall_seconds"]
-                               if resumed["wall_seconds"] else 0.0),
             "parity": {"identical": identical, "apps": apps},
-            "chaos": self._chaos_drill(),
             "warm": WarmBench().run(),
-        }
-
-    def _chaos_drill(self) -> Optional[Dict]:
-        """Kill/tear/resume over a scenario slice; record the verdict."""
-        if self.chaos_seed is None:
-            return None
-        from repro.farm.chaos import run_chaos_harness
-
-        jobs = [spec for spec in self.manifest
-                if spec.kind == "scenario"][:CHAOS_SLICE]
-        if len(jobs) < 2:   # need a poison target *and* a survivor
-            return None
-        drill = Manifest(jobs=jobs)
-        with tempfile.TemporaryDirectory() as out:
-            report = run_chaos_harness(drill, seed=self.chaos_seed,
-                                       out_dir=out, workers=2)
-        stats = report.stats
-        return {
-            "seed": self.chaos_seed,
-            "jobs": len(drill),
-            "recovered": report.ok,
-            "invariants": dict(report.invariants),
-            "failures": list(report.failures),
-            "injected": stats.get("chaos", {}),
-            "health": stats.get("health", {}),
-            "outcomes": stats.get("outcomes", {}),
-            "resumed_from_cache": stats.get("resumed_from_cache", 0),
         }
 
 

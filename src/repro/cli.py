@@ -64,8 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run the emulator engine benchmark "
                             "(TB vs single-step + taint parity) instead")
     bench.add_argument("--farm", action="store_true",
-                       help="run the analysis-farm scaling benchmark "
-                            "(serial vs -j N vs resumed) instead")
+                       help="run the analysis-farm benchmark "
+                            "(serial vs -j N, warm vs cold) instead")
     bench.add_argument("--workers", type=int, default=4,
                        help="parallel worker count for --farm (default 4)")
     bench.add_argument("--scaling", action="store_true",
@@ -310,14 +310,12 @@ def _command_bench_farm(workers: int, json_path, scaling: bool = False,
                                         write_results)
     results = FarmBench(workers=workers).run()
     rows = results["runs"]
-    for name in ("serial", "parallel", "resumed"):
+    for name in ("serial", "parallel"):
         row = rows[name]
         print(f"{name:<10} workers={row['workers']:<3} "
-              f"wall={row['wall_seconds']:.2f}s "
-              f"jobs={row['jobs']} cached={row['cached_jobs']}")
+              f"wall={row['wall_seconds']:.2f}s jobs={row['jobs']}")
     print(f"speedup (parallel vs serial):  "
           f"{results['speedup']:.2f}x on {results['cpus']} cpu(s)")
-    print(f"speedup (resumed vs serial):   {results['resume_speedup']:.2f}x")
     parity = results["parity"]
     print(f"per-app count parity: "
           f"{'identical' if parity['identical'] else 'BROKEN'} "

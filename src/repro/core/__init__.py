@@ -14,8 +14,8 @@ tracking (Section V):
   instrumentation on third-party-native provenance;
 * :mod:`dvm_hooks` — the DVM hook engine: JNI entry/exit, object creation,
   field access and exception hooks (Tables II-IV);
-* :mod:`instruction_tracer` — Table V ARM/Thumb taint propagation with a
-  hot-handler cache;
+* :mod:`instruction_tracer` — Table V ARM/Thumb taint propagation,
+  compiled into translation blocks;
 * :mod:`syslib_hooks` — Table VI modelled libc/libm handlers and Table VII
   sink checks;
 * :mod:`view_reconstructor` — OS-level view by parsing kernel task structs

@@ -6,11 +6,6 @@ monitors each ARM/Thumb instruction to determine how the taint propagates"
 traced; system libraries are covered by the modelled handlers instead
 (Section V.D), which is one of the reasons NDroid is fast.
 
-To "speed up the identification of the instruction type and the search of
-the handler, NDroid caches hot instructions and the corresponding
-handlers": the handler chosen for a (pc, thumb-bit) pair is memoised, so a
-loop body resolves its handlers once.
-
 The tracer exposes the same propagation rules two ways:
 
 * the **single-step callback** (:meth:`__call__`): the emulator invokes it
@@ -25,7 +20,10 @@ The tracer exposes the same propagation rules two ways:
   selected once and its operands (register indices, ledger locations, the
   ``0x%08x`` location string) are pre-bound into a closure that runs
   alongside the execution micro-op.  Blocks outside third-party regions
-  carry no taint ops at all.
+  carry no taint ops at all.  This is how NDroid "caches hot instructions
+  and the corresponding handlers" to "speed up the identification of the
+  instruction type and the search of the handler": a cached block is a
+  cache of its instructions' pre-selected handlers.
 
 Propagation follows Table V exactly, including the address-dependency
 rule: "if the tainted input is the address of an untainted value, the
@@ -36,7 +34,7 @@ into the destination.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.common.errors import ReproError
 from repro.common.taint import TAINT_CLEAR
@@ -95,15 +93,11 @@ class InstructionTracer:
     compiles_to_tb = True
 
     def __init__(self, taint_engine: TaintEngine,
-                 is_third_party: Callable[[int], bool],
-                 handler_cache: bool = True) -> None:
+                 is_third_party: Callable[[int], bool]) -> None:
         self.taint = taint_engine
         self._is_third_party = is_third_party
         self._region_cache: Dict[int, bool] = {}
-        self._handler_cache: Dict[Tuple[int, bool], Handler] = {}
-        self._use_handler_cache = handler_cache
         self.traced_instructions = 0
-        self.cache_hits = 0
         # NDroid installs this so a faulting propagation handler degrades
         # the run (conservative over-taint) instead of killing it.
         self.fault_handler: Optional[TracerFaultHandler] = None
@@ -159,21 +153,12 @@ class InstructionTracer:
         if not self.in_scope(emu.cpu.pc):
             return
         self.traced_instructions += 1
-        if self._use_handler_cache:
-            key = (emu.cpu.pc, emu.cpu.thumb)
-            handler = self._handler_cache.get(key)
-            if handler is None:
-                handler = self._select_handler(ir)
-                self._handler_cache[key] = handler
-            else:
-                self.cache_hits += 1
-        else:
-            handler = self._select_handler(ir)
         if not self.taint.maybe_tainted:
             # No label anywhere in the engine yet: every Table-V rule
             # degenerates to clear := clear, so skip the handler (the
-            # resolution/cache accounting above still reflects coverage).
+            # count above still reflects coverage).
             return
+        handler = self._select_handler(ir)
         if self.fault_handler is None:
             handler(ir, emu)
             return

@@ -32,8 +32,7 @@ from repro.taintdroid import TaintDroid
 class NDroid:
     """One attached NDroid instance."""
 
-    def __init__(self, platform, use_handler_cache: bool = True,
-                 use_multilevel: bool = True) -> None:
+    def __init__(self, platform, use_multilevel: bool = True) -> None:
         self.platform = platform
         self.taint_engine = TaintEngine(event_log=platform.event_log)
         self.view_reconstructor = ViewReconstructor(platform.memory)
@@ -42,8 +41,7 @@ class NDroid:
             enabled=use_multilevel)
         self._use_multilevel = use_multilevel
         self.instruction_tracer = InstructionTracer(
-            self.taint_engine, self._is_third_party,
-            handler_cache=use_handler_cache)
+            self.taint_engine, self._is_third_party)
         # Graceful degradation: a faulting hook is quarantined and the
         # engine over-taints instead of unwinding the whole analysis.
         self.degraded_events = 0
@@ -63,13 +61,11 @@ class NDroid:
     # -- attachment ------------------------------------------------------------
 
     @classmethod
-    def attach(cls, platform, use_handler_cache: bool = True,
-               use_multilevel: bool = True) -> "NDroid":
+    def attach(cls, platform, use_multilevel: bool = True) -> "NDroid":
         """Install NDroid on a platform (attaching TaintDroid if absent)."""
         if platform.taintdroid is None:
             TaintDroid.attach(platform)
-        system = cls(platform, use_handler_cache=use_handler_cache,
-                     use_multilevel=use_multilevel)
+        system = cls(platform, use_multilevel=use_multilevel)
         platform.ndroid = system
 
         # Native-side taint authority for libc and raw syscalls.
@@ -226,7 +222,6 @@ class NDroid:
         return {
             "traced_instructions":
                 self.instruction_tracer.traced_instructions,
-            "tracer_cache_hits": self.instruction_tracer.cache_hits,
             "taint_propagations": self.taint_engine.propagation_count,
             "tainted_bytes": self.taint_engine.tainted_bytes,
             "modelled_calls": self.syslib_hooks.modelled_calls,

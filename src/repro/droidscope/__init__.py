@@ -11,7 +11,7 @@ This simulation therefore reproduces DroidScope's *cost model*, not new
 detection capability:
 
 * every native instruction is taint-traced, in **every** region (system
-  libraries included), with no hot-handler cache;
+  libraries included);
 * every Dalvik instruction pays a DVM-view reconstruction step that
   re-reads the frame's register window from guest memory;
 * every modelled library call is walked byte-by-byte as if its internals

@@ -15,12 +15,9 @@ class DroidScopeSim:
     def __init__(self, platform) -> None:
         self.platform = platform
         self.taint_engine = TaintEngine(event_log=None)
-        # Unscoped tracer: every region counts as "in scope", and the
-        # hot-handler cache is disabled (DroidScope re-derives semantics
-        # per instruction).
+        # Unscoped tracer: every region counts as "in scope".
         self.tracer = InstructionTracer(self.taint_engine,
-                                        is_third_party=lambda address: True,
-                                        handler_cache=False)
+                                        is_third_party=lambda address: True)
         self.dalvik_reconstructions = 0
         self.library_walk_bytes = 0
         self.context_lookups = 0

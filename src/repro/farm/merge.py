@@ -13,8 +13,7 @@ accepts one result row at a time, accumulates the type-aware metric
 merge and the outcome/tombstone bookkeeping incrementally, and spools
 compact display rows to disk instead of retaining result dicts.  A
 100k-job corpus run therefore merges in O(metric names) memory; the
-list-based :func:`merge_results`/:func:`merge_metrics` API survives as
-a thin wrapper over the same fold.
+list-based :func:`merge_results` is a thin wrapper over the same fold.
 """
 
 from __future__ import annotations
@@ -149,7 +148,21 @@ _MEAN_SUFFIXES = (".mean", ".p50", ".p95", ".p99")
 
 
 class _MetricsFold:
-    """Incremental type-aware metric merge (one result at a time)."""
+    """Incremental type-aware merge of the per-job metric snapshots.
+
+    Metric semantics differ, so one rule per type:
+
+    * **counters** (the default) sum — per-app event tallies add up
+      fleet-wide;
+    * **gauges** take the max — summing "cached blocks right now"
+      across eight workers invents a cache none of them has.  Each
+      worker ships its registry's ``gauge_keys()`` in
+      ``metrics_gauges``, so the merge needs no name heuristics;
+    * **histogram summaries** merge component-wise: ``.count``/``.sum``
+      add, ``.min``/``.max`` take min/max, and ``.mean``/percentiles
+      are count-weighted averages (exact for the mean, the standard
+      mergeable approximation for percentiles).
+    """
 
     def __init__(self) -> None:
         self.gauge_names: set = set()
@@ -157,15 +170,12 @@ class _MetricsFold:
         self._weighted: Dict[str, float] = {}   # sum(value * count)
         self._weights: Dict[str, float] = {}
 
-    def declare_gauges(self, names: Iterable[str]) -> None:
-        self.gauge_names.update(names)
-
     def add(self, result: Dict) -> None:
-        # A result's own gauge declarations land before its metrics, so
-        # within one result (and for the uniform declarations workers
-        # actually ship) the gauge rule always wins over the counter
-        # default.
-        self.declare_gauges(result.get("metrics_gauges", ()))
+        # A result's own gauge declarations land before its metrics, and
+        # every worker row declares the same gauges, so the gauge rule
+        # always wins over the counter default whatever the row order.
+        # Parent-built rows (lost, poison) carry no metrics at all.
+        self.gauge_names.update(result.get("metrics_gauges", ()))
         metrics = result.get("metrics", {})
         merged = self.merged
         for name, value in metrics.items():
@@ -248,35 +258,6 @@ class MergeFold:
             completed_count=self.completed, rows_path=self.rows_path)
 
 
-def merge_metrics(results: List[Dict]) -> Dict:
-    """Type-aware merge of the per-job metric snapshots.
-
-    Metric semantics differ, so one rule per type:
-
-    * **counters** (the default) sum — per-app event tallies add up
-      fleet-wide;
-    * **gauges** take the max — summing "cached blocks right now"
-      across eight workers invents a cache none of them has.  Each
-      worker ships its registry's ``gauge_keys()`` in
-      ``metrics_gauges``, so the merge needs no name heuristics;
-    * **histogram summaries** merge component-wise: ``.count``/``.sum``
-      add, ``.min``/``.max`` take min/max, and ``.mean``/percentiles
-      are count-weighted averages (exact for the mean, the standard
-      mergeable approximation for percentiles).
-
-    With the whole list in hand, gauge declarations are collected in a
-    pre-pass so a gauge name is never mistaken for a counter whatever
-    the result order; the streaming fold gets the same guarantee from
-    workers declaring their gauges on every result.
-    """
-    fold = _MetricsFold()
-    for result in results:
-        fold.declare_gauges(result.get("metrics_gauges", ()))
-    for result in results:
-        fold.add(result)
-    return fold.finish()
-
-
 def merge_spans(trace_dir: str) -> Dict:
     """Aggregate every per-process span spool under ``trace_dir``.
 
@@ -307,7 +288,6 @@ def merge_results(results: List[Dict], workers: int = 1,
         fold.add(result)
     report = fold.finish(workers=workers, wall_seconds=wall_seconds,
                          cached_jobs=cached_jobs, health=health)
-    report.merged_metrics = merge_metrics(results)  # order-proof gauges
     report.results = results
     report.job_count = 0
     report.completed_count = 0

@@ -285,7 +285,7 @@ class AndroidPlatform:
         Everything a job can dirty is restored from the template; the
         things worth keeping warm — the decode/TB caches, Dalvik blocks'
         region scopes, resident library mappings, the tracers' region
-        and handler caches — survive.  Engines are mutated in place,
+        caches — survive.  Engines are mutated in place,
         never replaced: observability sources and hook closures hold
         their identities.
         """
@@ -451,9 +451,7 @@ class AndroidPlatform:
             ndroid.degraded_events = 0
             ndroid.quarantined_hooks.clear()
             ndroid.hook_invocations.clear()
-            tracer = ndroid.instruction_tracer
-            tracer.traced_instructions = 0
-            tracer.cache_hits = 0
+            ndroid.instruction_tracer.traced_instructions = 0
             ndroid.multilevel.checks = 0
             ndroid.multilevel.fires = 0
             ndroid.multilevel._armed.clear()
@@ -470,7 +468,6 @@ class AndroidPlatform:
             droidscope.taint_engine.reset()
             droidscope.taint_engine.rearm_fast_path()
             droidscope.tracer.traced_instructions = 0
-            droidscope.tracer.cache_hits = 0
             droidscope.dalvik_reconstructions = 0
             droidscope.library_walk_bytes = 0
             droidscope.context_lookups = 0

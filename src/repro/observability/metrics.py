@@ -153,7 +153,7 @@ class MetricsRegistry:
 
         ``gauges`` names the source keys that are point-in-time values
         rather than monotonic counters — fleet merging must not sum
-        those across workers (see ``farm/merge.merge_metrics``).
+        those across workers (see ``farm/merge._MetricsFold``).
         """
         self._sources.append((prefix, source))
         if gauges:

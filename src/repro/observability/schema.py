@@ -7,8 +7,8 @@ One trace record per line::
      "src": {"kind": "iref", "base": 4259841, "len": 0, "name": ""},
      "dst": {"kind": "mem", "base": 1627390720, "len": 13, "name": ""}}
 
-CI's observability-smoke job validates every line of an ephone trace
-against this before uploading it as an artifact.
+``tests/observability/test_report_cli.py`` validates every line of an
+ephone trace against this.
 """
 
 from __future__ import annotations

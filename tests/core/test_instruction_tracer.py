@@ -19,8 +19,7 @@ DATA = 0x0003_0000
 STACK_TOP = 0x0800_0000
 
 
-def run_traced(source, seed=None, third_party=True, handler_cache=True,
-               use_tb=True):
+def run_traced(source, seed=None, third_party=True, use_tb=True):
     emu = Emulator(use_tb=use_tb)
     program = assemble("main:\n" + source + "\n bx lr", base=CODE_BASE)
     emu.load(CODE_BASE, program.code)
@@ -28,8 +27,7 @@ def run_traced(source, seed=None, third_party=True, handler_cache=True,
                        third_party=third_party)
     emu.cpu.sp = STACK_TOP
     engine = TaintEngine()
-    tracer = InstructionTracer(engine, emu.memory_map.is_third_party,
-                               handler_cache=handler_cache)
+    tracer = InstructionTracer(engine, emu.memory_map.is_third_party)
     emu.add_tracer(tracer)
     if seed:
         seed(emu, engine)
@@ -185,30 +183,6 @@ class TestScopingAndCache:
         assert tracer.traced_instructions == 0
         assert engine.get_register(0) == 0
 
-    def test_handler_cache_hits_on_loops(self):
-        # The per-(pc, thumb) handler cache belongs to the single-step
-        # path; the TB engine pre-selects handlers at translation time.
-        source = """
-            mov r1, #20
-        loop:
-            subs r1, r1, #1
-            bne loop
-        """
-        __, tracer, __ = run_traced(source, use_tb=False)
-        assert tracer.cache_hits > 30
-
-    def test_cache_disabled_never_hits(self):
-        source = """
-            mov r1, #5
-        loop:
-            subs r1, r1, #1
-            bne loop
-        """
-        __, tracer, __ = run_traced(source, handler_cache=False,
-                                    use_tb=False)
-        assert tracer.cache_hits == 0
-        assert tracer.traced_instructions > 0
-
     def test_region_cache_invalidation(self):
         engine = TaintEngine()
         calls = []
@@ -250,22 +224,6 @@ class TestCleanFastPath:
         """, seed=lambda emu, eng: eng.set_register(1, TAINT_IMEI))
         assert engine.get_register(2) == TAINT_IMEI
         assert engine.propagation_count > 0
-
-    def test_handler_cache_still_counts_hits_when_clean(self):
-        engine, tracer, emu = run_traced("""
-    mov r0, #0
-    mov r1, #0
-loop:
-    cmp r1, #30
-    bge out
-    add r0, r0, r1
-    add r1, r1, #1
-    b loop
-out:
-    mov r2, r0
-        """, use_tb=False)
-        assert engine.propagation_count == 0
-        assert tracer.cache_hits > tracer.traced_instructions * 0.5
 
     def test_tainted_then_clean_run_regains_fast_path(self):
         # Farm workers reuse one engine across jobs: a tainted first run

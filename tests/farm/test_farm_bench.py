@@ -16,61 +16,30 @@ TINY = Manifest(jobs=[
 
 
 def test_bench_runs_and_checks_parity(tmp_path):
-    results = FarmBench(workers=2, manifest=TINY, chaos_seed=None).run()
+    results = FarmBench(workers=2, manifest=TINY).run()
     assert results["cpus"] >= 1
     runs = results["runs"]
+    assert set(runs) == {"serial", "parallel"}
     assert runs["serial"]["workers"] == 1
     assert runs["parallel"]["workers"] == 2
     assert runs["serial"]["jobs"] == len(TINY)
-    # The resumed run replays everything the parallel run cached.
-    assert runs["resumed"]["cached_jobs"] == len(TINY)
     assert results["parity"]["identical"]
     assert set(results["parity"]["apps"]) == {job.id for job in TINY}
     assert results["speedup"] > 0
-    assert results["resume_speedup"] > 0
 
     path = str(tmp_path / "bench.json")
     write_results(results, path)
     loaded = load_results(path)
     assert loaded["parity"]["identical"]
     assert loaded["runs"]["serial"]["jobs"] == len(TINY)
-    # chaos_seed=None skips the recovery drill but keeps the field.
-    assert loaded["chaos"] is None
 
 
-def test_bench_chaos_drill_records_recovery_verdict():
-    manifest = Manifest(jobs=[
-        JobSpec(id="scenario:ephone", kind="scenario", target="ephone"),
-        JobSpec(id="scenario:case1", kind="scenario", target="case1"),
-        JobSpec(id="scenario:case2", kind="scenario", target="case2"),
-        JobSpec(id="scenario:benign", kind="scenario", target="benign"),
-    ])
-    results = FarmBench(workers=2, manifest=manifest,
-                        chaos_seed=7).run()
-    chaos = results["chaos"]
-    assert chaos["seed"] == 7
-    assert chaos["jobs"] == len(manifest)
-    assert chaos["recovered"] is True
-    assert chaos["failures"] == []
-    assert chaos["invariants"]["poison_classified_exactly_once"]
-    assert chaos["invariants"]["parity_with_serial_baseline"]
-    assert chaos["invariants"]["no_lost_jobs"]
-    assert chaos["health"]["poison_quarantined"] == 1
-
-
-def test_bench_skips_drill_when_manifest_too_small():
-    manifest = Manifest(jobs=[
-        JobSpec(id="scenario:ephone", kind="scenario", target="ephone")])
-    results = FarmBench(workers=2, manifest=manifest).run()
-    assert results["chaos"] is None   # one job cannot elect a poison
-                                      # target and keep a survivor
-
-
-def test_schema_version_is_five():
+def test_schema_version_is_six():
     # v3: the streamed-corpus scaling curve rides along in "scaling".
     # v4: the warm-vs-cold drill rides along in "warm".
     # v5: the warm drill reports only its cold and warm modes.
-    assert BENCH_SCHEMA_VERSION == 5
+    # v6: no resumed run and no chaos drill.
+    assert BENCH_SCHEMA_VERSION == 6
 
 
 def test_warm_drill_gates_and_parity():

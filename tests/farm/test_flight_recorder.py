@@ -14,7 +14,7 @@ from repro.farm.console import (
     tail_spool,
 )
 from repro.farm.health import stamp_heartbeat
-from repro.farm.merge import merge_metrics, write_trace_artifacts
+from repro.farm.merge import merge_results, write_trace_artifacts
 from repro.farm.worker import execute_job
 from repro.observability.flight import FlightSpool, validate_chrome_trace
 from repro.observability.spans import SpanTracer
@@ -42,14 +42,18 @@ class TestTypeAwareMerge:
          "metrics_gauges": ["tbc.cached_blocks"]},
     ]
 
+    @staticmethod
+    def merged(rows):
+        return merge_results(rows).merged_metrics
+
     def test_counters_sum(self):
-        assert merge_metrics(self.ROWS)["core.sink_checks"] == 5
+        assert self.merged(self.ROWS)["core.sink_checks"] == 5
 
     def test_gauges_take_max_not_sum(self):
-        assert merge_metrics(self.ROWS)["tbc.cached_blocks"] == 10
+        assert self.merged(self.ROWS)["tbc.cached_blocks"] == 10
 
     def test_histogram_components_merge_by_type(self):
-        merged = merge_metrics(self.ROWS)
+        merged = self.merged(self.ROWS)
         assert merged["lat.count"] == 5
         assert merged["lat.sum"] == 90
         assert merged["lat.min"] == 5
@@ -61,12 +65,12 @@ class TestTypeAwareMerge:
         assert merged["lat.p99"] == (20 * 4 + 50) / 5
 
     def test_rows_without_gauge_declarations_still_merge(self):
-        merged = merge_metrics([{"metrics": {"a": 1}},
-                                {"metrics": {"a": 2}}])
+        merged = self.merged([{"metrics": {"a": 1}},
+                              {"metrics": {"a": 2}}])
         assert merged["a"] == 3
 
     def test_non_numeric_values_are_skipped(self):
-        merged = merge_metrics([{"metrics": {"a": 1, "note": "text"}}])
+        merged = self.merged([{"metrics": {"a": 1, "note": "text"}}])
         assert "note" not in merged
 
 
